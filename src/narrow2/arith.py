@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt
 
 import numpy as np
@@ -233,9 +234,12 @@ class TernarySolution:
     z: int
 
     def __post_init__(self):
-        assert self.x * self.x == self.a * self.y * self.y + self.b * self.z * self.z
-        assert gcd(gcd(self.x, self.y), self.z) == 1
-        assert self.x > 0 and self.z != 0
+        x, y, z = self.x, self.y, self.z
+        if (x * x != self.a * y * y + self.b * z * z or gcd(gcd(x, y), z) != 1
+                or x <= 0 or z == 0):
+            raise ConsistencyError(
+                f"({x}, {y}, {z}) is not a primitive solution of "
+                f"x^2 = {self.a}*y^2 + {self.b}*z^2 with x > 0, z != 0")
 
 
 def _check_ternary_inputs(a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -259,13 +263,15 @@ def _reduce_primitive(a: int, b: int, x: int, y: int, z: int) -> TernarySolution
 
 
 _GRID_CELLS = 4_000_000
+_FLOAT_EXACT = 1 << 53
 
 
 def _ternary_grid_rows(a: int, b: int, z_lo: int, z_hi: int):
     """Perfect-square hits of a*y^2 + b*z^2 for z in [z_lo, z_hi), ascending (z, y).
 
-    Values stay below 2**53 for the grid sizes used, so the float square root
-    is exact after integer verification.
+    The caller keeps b*z_hi^2 + a*(isqrt(b) + 1)^2 below 2**53, so every value
+    is exact in float64 and the float square root is exact after integer
+    verification.
     """
     ylim = isqrt(b) + 1
     ay2 = a * np.arange(ylim, dtype=np.int64) ** 2
@@ -278,41 +284,75 @@ def _ternary_grid_rows(a: int, b: int, z_lo: int, z_hi: int):
 
 
 def ternary_solutions(a: int, b: int, checked: bool = True):
-    """Yield primitive solutions of x^2 = a*y^2 + b*z^2 ascending in (z, y).
+    """Yield distinct primitive solutions of x^2 = a*y^2 + b*z^2, x > 0, y >= 0,
+    z > 0, in a deterministic order.
 
-    Enumerates the Holzer box |y| <= sqrt(b), |z| <= sqrt(a), then extends
-    past it; intended for pairs with sqrt(a*b) small enough to scan.
+    Grid regime, when the Holzer box (isqrt(a) + 1) * (isqrt(b) + 1) has at most
+    4M cells: every 0 <= y <= isqrt(b) is scanned for z = 1, 2, ... in chunks of
+    rows that start at one row and double up to about 4M cells, so solutions
+    come ascending in (z, y).  Holzer's theorem puts the first one at
+    z <= sqrt(a).  The stream ends before b*z^2 + a*y^2 could reach 2**53,
+    past which the float64 scan is no longer exact.
+
+    Descent regime, otherwise: sympy's Lagrange descent solution first, then
+    the second intersections of the conic with the lines through it in
+    integer directions (u, v, w), taken in growing max-norm shells and
+    skipping repeats.  The equation involves only squares, so coordinates
+    are taken nonnegative.  This stream does not end.
     """
     if checked:
         _check_ternary_inputs(a, b)
     ylim = isqrt(b) + 1
-    chunk = max(1, _GRID_CELLS // max(ylim, 1))
-    z = 1
-    while True:
-        for x, y, zz in _ternary_grid_rows(a, b, z, z + chunk):
-            if gcd(gcd(x, y), zz) == 1:
-                yield TernarySolution(a, b, x, y, zz)
-        z += chunk
-
-
-def solve_ternary(a: int, b: int) -> TernarySolution:
-    """First primitive solution of x^2 = a*y^2 + b*z^2.
-
-    Searches the Holzer bound box by brute force when it is small, otherwise
-    falls back to Lagrange descent. Preconditions: a, b squarefree, coprime,
-    b >= 2, and each coefficient a square modulo every prime of the other.
-    """
-    _check_ternary_inputs(a, b)
-    if (isqrt(a) + 1) * (isqrt(b) + 1) <= _GRID_CELLS:
-        for sol in ternary_solutions(a, b, checked=False):
-            return sol
+    if (isqrt(a) + 1) * ylim <= _GRID_CELLS:
+        cap = _GRID_CELLS // ylim
+        z_end = isqrt((_FLOAT_EXACT - 1 - a * ylim * ylim) // b)
+        z, chunk = 1, 1
+        while z < z_end:
+            z_hi = min(z + chunk, z_end)
+            for x, y, zz in _ternary_grid_rows(a, b, z, z_hi):
+                if gcd(gcd(x, y), zz) == 1:
+                    yield TernarySolution(a, b, x, y, zz)
+            z, chunk = z_hi, min(2 * chunk, cap)
+        return
     from sympy.abc import x as sx, y as sy, z as sz
     from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
 
     X, Y, Z = diop_ternary_quadratic(sx * sx - a * sy * sy - b * sz * sz)
     if X is None:
         raise ConsistencyError(f"solve_ternary: ({a}, {b}) descent found no solution")
-    return _reduce_primitive(a, b, int(X), int(Y), int(Z))
+    base = _reduce_primitive(a, b, int(X), int(Y), int(Z))
+    yield base
+    x0, y0, z0 = base.x, base.y, base.z
+    seen = {(x0, y0, z0)}
+    for bound in count(1):
+        for u in range(-bound, bound + 1):
+            for v in range(-bound, bound + 1):
+                for w in range(-bound, bound + 1):
+                    if max(abs(u), abs(v), abs(w)) != bound:
+                        continue
+                    qu = u * u - a * v * v - b * w * w
+                    bl = x0 * u - a * y0 * v - b * z0 * w
+                    x = abs(qu * x0 - 2 * bl * u)
+                    y = abs(qu * y0 - 2 * bl * v)
+                    z = abs(qu * z0 - 2 * bl * w)
+                    if x == 0 or z == 0:
+                        continue
+                    g = gcd(gcd(x, y), z)
+                    x, y, z = x // g, y // g, z // g
+                    if (x, y, z) in seen:
+                        continue
+                    seen.add((x, y, z))
+                    yield TernarySolution(a, b, x, y, z)
+
+
+def solve_ternary(a: int, b: int) -> TernarySolution:
+    """First primitive solution of x^2 = a*y^2 + b*z^2: the first element of
+    ternary_solutions(a, b).
+
+    Preconditions: a, b squarefree, coprime, both >= 2, and each coefficient
+    a square modulo every prime of the other.
+    """
+    return next(ternary_solutions(a, b))
 
 
 @dataclass(frozen=True)
@@ -395,33 +435,3 @@ def fundamental_unit(d: int) -> QuadraticUnit:
             if _unit_less(d, cand, best):
                 best = cand
     return best
-
-
-def _quad_mul(d: int, a0: int, a1: int, ha: int, b0: int, b1: int, hb: int):
-    """((a0 + a1*sqrt(d))/2^ha) * ((b0 + b1*sqrt(d))/2^hb), reduced to denominator <= 2."""
-    c0 = a0 * b0 + d * a1 * b1
-    c1 = a0 * b1 + a1 * b0
-    h = ha + hb
-    while h > 0 and c0 % 2 == 0 and c1 % 2 == 0:
-        c0 //= 2
-        c1 //= 2
-        h -= 1
-    assert h <= 1
-    return c0, c1, h
-
-
-@lru_cache(maxsize=1024)
-def norm_one_unit(d: int) -> tuple[int, int]:
-    """Smallest power of the fundamental unit that is integral with norm +1.
-
-    Generates the proper automorphisms of x^2 - d*y^2; always exists for
-    nonsquare d >= 2.
-    """
-    eps = fundamental_unit(d)
-    u0, v0, h0 = eps.u, eps.v, 1 if eps.half else 0
-    u, v, h = u0, v0, h0
-    for _ in range(6):
-        if h == 0 and u * u - d * v * v == 1:
-            return abs(u), abs(v)
-        u, v, h = _quad_mul(d, u, v, h, u0, v0, h0)
-    raise RuntimeError(f"no integral norm-one unit reached for d={d}")

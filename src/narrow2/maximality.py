@@ -20,6 +20,7 @@ from .arith import _legendre_unchecked
 from .errors import (
     AcceptabilityError,
     ArgumentError,
+    ConsistencyError,
     UnsupportedDimensionError,
 )
 from .redei import acceptable_prime_factors, redei_symbol
@@ -104,7 +105,10 @@ class MaximalityReport:
     failed_conditions: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        assert self.verdict == (not self.failed_conditions)
+        if self.verdict != (not self.failed_conditions):
+            raise ConsistencyError(
+                f"verdict {self.verdict} contradicts the failed conditions "
+                f"{self.failed_conditions}")
 
 
 def is_maximal(v: AcceptableVector) -> MaximalityReport:

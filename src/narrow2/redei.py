@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
-from math import gcd, isqrt
+from itertools import islice
+from math import gcd
 
 from .arith import (
     TernarySolution,
     _legendre_unchecked,
-    solve_ternary,
     sqrt_mod,
     sqrt_two_adic,
     squarefree_part,
@@ -41,7 +40,6 @@ from .errors import (
     DegenerateContextError,
 )
 
-_GRID_CELLS = 4_000_000
 _MAX_BASE_SOLUTIONS = 40
 _MAX_RETRIES = 8
 
@@ -169,45 +167,12 @@ class RedeiContext:
 
     def __post_init__(self):
         s = self.solution
-        assert self.quartic == (1, 0, -2 * s.x, 0, self.b * s.z * s.z)
-        assert s.x * s.x - self.a * s.y * s.y == self.b * s.z * s.z
-        assert s.y != 0  # nonzero quartic discriminant
-
-
-def _solution_stream(a: int, b: int):
-    """Distinct primitive solutions in a deterministic order.
-
-    Brute ascending scan when the coefficient box is small; otherwise one
-    descent solution expanded by the conic line parametrization through it
-    (second intersection of lines through the base point; the equation only
-    involves squares, so coordinates can be taken nonnegative).
-    """
-    if (isqrt(a) + 1) * (isqrt(b) + 1) <= _GRID_CELLS:
-        yield from ternary_solutions(a, b, checked=False)
-        return
-    base = solve_ternary(a, b)
-    yield base
-    x0, y0, z0 = base.x, base.y, base.z
-    seen = {(x0, y0, z0)}
-    for bound in count(1):
-        for u in range(-bound, bound + 1):
-            for v in range(-bound, bound + 1):
-                for w in range(-bound, bound + 1):
-                    if max(abs(u), abs(v), abs(w)) != bound:
-                        continue
-                    qu = u * u - a * v * v - b * w * w
-                    bl = x0 * u - a * y0 * v - b * z0 * w
-                    x = abs(qu * x0 - 2 * bl * u)
-                    y = abs(qu * y0 - 2 * bl * v)
-                    z = abs(qu * z0 - 2 * bl * w)
-                    if x == 0 or z == 0:
-                        continue
-                    g = gcd(gcd(x, y), z)
-                    x, y, z = x // g, y // g, z // g
-                    if (x, y, z) in seen:
-                        continue
-                    seen.add((x, y, z))
-                    yield TernarySolution(a, b, x, y, z)
+        # y != 0 keeps the quartic discriminant nonzero
+        if (self.quartic != (1, 0, -2 * s.x, 0, self.b * s.z * s.z)
+                or s.x * s.x - self.a * s.y * s.y != self.b * s.z * s.z
+                or s.y == 0):
+            raise ConsistencyError(
+                f"context for ({self.a}, {self.b}) does not match its solution")
 
 
 def _contexts(a: int, b: int):
@@ -218,11 +183,10 @@ def _contexts(a: int, b: int):
     where neither passes are skipped.
     """
     produced = 0
-    for idx, sol in enumerate(_solution_stream(a, b)):
-        if idx >= _MAX_BASE_SOLUTIONS:
-            break
+    for sol in islice(ternary_solutions(a, b, checked=False), _MAX_BASE_SOLUTIONS):
         x, y, z = sol.x, sol.y, sol.z
-        assert x % 2 == 1  # primitivity forces x odd here
+        if x % 2 == 0:  # primitivity forces x odd here
+            raise ConsistencyError(f"even x in the solution {(x, y, z)} for ({a}, {b})")
         norm2 = _v2(b * z * z)
         half = y % 2 == 1
         for sigma in (1, -1):
@@ -238,18 +202,9 @@ def _contexts(a: int, b: int):
             f"no normalized generator found for ({a}, {b})")
 
 
-def _build_contexts(a: int, b: int, want: int) -> list[RedeiContext]:
-    out = []
-    for ctx in _contexts(a, b):
-        out.append(ctx)
-        if len(out) >= want:
-            break
-    return out
-
-
 @lru_cache(maxsize=4096)
 def _context_cache(a: int, b: int, want: int) -> tuple[RedeiContext, ...]:
-    return tuple(_build_contexts(a, b, want))
+    return tuple(islice(_contexts(a, b), want))
 
 
 def redei_context(a: int, b: int) -> RedeiContext:
@@ -258,10 +213,7 @@ def redei_context(a: int, b: int) -> RedeiContext:
     Preconditions: a, b >= 2, squarefree, coprime, all prime factors 1 mod 4,
     and each a square modulo every prime factor of the other.
     """
-    pa = acceptable_prime_factors(a)
-    pb = acceptable_prime_factors(b)
-    _check_consistent([a, b], [pa, pb])
-    return _context_cache(a, b, 1)[0]
+    return context_stream(a, b, 1)[0]
 
 
 def context_stream(a: int, b: int, want: int) -> tuple[RedeiContext, ...]:

@@ -4,7 +4,10 @@ Frozen values below were computed independently (brute-force scripts and
 hand calculation) before the implementations were written.
 """
 
+import os
 import random
+import subprocess
+import sys
 from math import gcd, isqrt
 
 import pytest
@@ -12,6 +15,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import narrow2
+from narrow2 import arith
 from narrow2.arith import (
     QuadraticUnit,
     TernarySolution,
@@ -19,7 +24,6 @@ from narrow2.arith import (
     fundamental_unit,
     is_prime,
     legendre,
-    norm_one_unit,
     primes_one_mod_four,
     primes_up_to,
     solve_ternary,
@@ -180,6 +184,7 @@ FROZEN_TERNARY = [
 def test_solve_ternary_frozen(a, b, x, y, z):
     s = solve_ternary(a, b)
     assert (s.x, s.y, s.z) == (x, y, z)
+    assert s == next(ternary_solutions(a, b))
 
 
 def test_solve_ternary_postconditions_random_pairs():
@@ -203,6 +208,7 @@ def test_solve_ternary_descent_path():
     s = solve_ternary(a, b)
     assert s.x * s.x == a * s.y * s.y + b * s.z * s.z
     assert gcd(gcd(s.x, s.y), s.z) == 1
+    assert s == next(ternary_solutions(a, b))
 
 
 def test_ternary_solutions_stream_ordered_and_primitive():
@@ -216,6 +222,57 @@ def test_ternary_solutions_stream_ordered_and_primitive():
     for z, y, x in seen:
         assert x * x == 13 * y * y + 17 * z * z
         assert gcd(gcd(x, y), z) == 1
+
+
+def test_ternary_grid_stream_stops_at_float_exactness_bound(monkeypatch):
+    # b ~ 1e12 caps chunks at 4M // isqrt(b) = 3 rows; the bound falls near z = 95
+    a, b = 5, 1000000000061
+    ylim = isqrt(b) + 1
+    chunks = []
+    rows = arith._ternary_grid_rows
+
+    def spy(a_, b_, z_lo, z_hi):
+        chunks.append((z_lo, z_hi))
+        return rows(a_, b_, z_lo, z_hi)
+
+    monkeypatch.setattr(arith, "_ternary_grid_rows", spy)
+    sols = list(ternary_solutions(a, b))
+    sizes = [hi - lo for lo, hi in chunks]
+    assert chunks[0] == (1, 2) and sizes[:3] == [1, 2, 3] and max(sizes) == 3
+    assert all(hi == lo2 for (_, hi), (lo2, _) in zip(chunks, chunks[1:]))
+    z_end = chunks[-1][1]
+    assert b * z_end**2 + a * ylim**2 < 2**53 <= b * (z_end + 1) ** 2 + a * ylim**2
+    assert [(s.z, s.y) for s in sols] == sorted((s.z, s.y) for s in sols)
+    assert sols[0] == solve_ternary(a, b)
+    for s in sols:
+        assert s.x * s.x == a * s.y * s.y + b * s.z * s.z < 2**53
+
+
+def test_ternary_solution_rejects_non_solutions():
+    with pytest.raises(ConsistencyError):
+        TernarySolution(13, 17, 15, 4, 2)  # not a solution
+    with pytest.raises(ConsistencyError):
+        TernarySolution(13, 17, 30, 8, 2)  # not primitive
+    with pytest.raises(ConsistencyError):
+        TernarySolution(13, 17, -15, 4, 1)  # x < 0
+
+
+def test_consistency_checks_survive_optimize_flag():
+    code = (
+        "from narrow2 import ConsistencyError, MaximalityReport, TernarySolution\n"
+        "for make in (lambda: TernarySolution(13, 17, 15, 4, 2),\n"
+        "             lambda: MaximalityReport(True, 3, 3, 1, (('legendre', (5, 13)),))):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ConsistencyError:\n"
+        "        continue\n"
+        "    raise SystemExit('no ConsistencyError under -O')\n"
+    )
+    src = os.path.dirname(os.path.dirname(narrow2.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr + done.stdout
 
 
 def test_solve_ternary_rejects_bad_inputs():
@@ -285,10 +342,3 @@ def test_fundamental_unit_minimal_below_1000():
             continue
         assert (got.u, got.v, got.half) == want, d
 
-
-def test_norm_one_unit():
-    for d in [2, 3, 5, 13, 17, 29, 41, 65, 4189]:
-        u, v = norm_one_unit(d)
-        assert u * u - d * v * v == 1
-    assert norm_one_unit(13) == (649, 180)
-    assert norm_one_unit(41) == (2049, 320)

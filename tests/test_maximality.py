@@ -7,10 +7,12 @@ import pytest
 from narrow2.errors import (
     AcceptabilityError,
     ArgumentError,
+    ConsistencyError,
     UnsupportedDimensionError,
 )
 from narrow2.maximality import (
     AcceptableVector,
+    MaximalityReport,
     is_maximal,
     is_strongly_quadratically_consistent,
     parse_acceptable,
@@ -157,3 +159,10 @@ def test_inconsistent_triple_skips_redei_conditions():
     rep = is_maximal(parse_acceptable((5, 13, 29)))
     assert not rep.verdict
     assert all(kind == "legendre" for kind, _ in rep.failed_conditions)
+
+
+def test_report_verdict_must_match_conditions():
+    with pytest.raises(ConsistencyError):
+        MaximalityReport(True, 3, 3, 1, (("redei", (5, 29, 181)),))
+    with pytest.raises(ConsistencyError):
+        MaximalityReport(False, 3, 3, 1, ())

@@ -5,6 +5,7 @@ against the 2-adic normalization conditions before implementation.
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -31,6 +32,12 @@ FROZEN_CONTEXTS = [
     (13, 101, 27, 5, 2, True, 1, True),
     (29, 5, 11, 2, 1, False, 1, True),
     (41, 5, 13, 2, 1, False, -1, False),
+    # descent regime: the first three contexts of the stream, in order
+    (8933369, 11780737, 844011793, 281061, 23780, True, 1, True),
+    (8933369, 11780737, 17477368654363113, 241679988253, 5087665660252,
+     True, 1, True),
+    (8933369, 11780737, 235463999624481, 78410433812, 6638609095,
+     False, 1, True),
 ]
 
 
@@ -49,7 +56,9 @@ def _consistent_prime_samples(rng, pool, k, count):
 
 @pytest.mark.parametrize("a,b,x,y,z,half,sign,tot", FROZEN_CONTEXTS)
 def test_context_frozen(a, b, x, y, z, half, sign, tot):
-    c = redei_context(a, b)
+    row = (a, b, x, y, z, half, sign, tot)
+    k = [r for r in FROZEN_CONTEXTS if r[:2] == (a, b)].index(row)
+    c = context_stream(a, b, 3)[k] if k else redei_context(a, b)
     assert (c.solution.x, c.solution.y, c.solution.z) == (x, y, z)
     assert (c.half, c.sign, c.totally_real) == (half, sign, tot)
 
@@ -150,8 +159,8 @@ def test_reciprocity_frozen():
 def test_reciprocity_random_prime_triples():
     rng = random.Random(31)
     pool = [int(p) for p in primes_one_mod_four(20000)]
-    for a, b, c in _consistent_prime_samples(rng, pool, 3, 20):
-        assert reciprocity_check(a, b, c), (a, b, c)
+    for t in _consistent_prime_samples(rng, pool, 3, 20):
+        assert len({redei_symbol(*p) for p in permutations(t)}) == 1, t
 
 
 # ------------------------------------------------------------ independence
@@ -188,6 +197,7 @@ def test_emit_quartic():
     q = emit_quartic(17, 13)
     s = redei_context(17, 13).solution
     assert q == [1, 0, -2 * s.x, 0, 13 * s.z * s.z] == [1, 0, -18, 0, 13]
+    assert emit_quartic(8933369, 11780737) == [1, 0, -1688023586, 0, 6661870116950800]
     rng = random.Random(61)
     pool = [int(p) for p in primes_one_mod_four(2000)]
     for a, b in _consistent_prime_samples(rng, pool, 2, 8):
