@@ -9,29 +9,52 @@ caps the 2-torsion rank of the narrow class group of the multiquadratic
 field attached to the vector; the vector is maximal when the bound is
 attained.  For n <= 3 maximality is decidable from Legendre symbols and
 Redei symbols alone, which is what is_maximal implements.
+
+AcceptableVector checks its factorizations on construction, so is_maximal
+trusts them and calls the prime-level symbol kernel without refactoring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
-from .arith import _legendre_unchecked
+from .arith import _is_prime_cached
 from .errors import (
     AcceptabilityError,
     ArgumentError,
     ConsistencyError,
     UnsupportedDimensionError,
 )
-from .redei import acceptable_prime_factors, redei_symbol
+from .redei import (
+    _check_coprime,
+    _consistency_witnesses,
+    _symbol,
+    acceptable_prime_factors,
+)
 
 
 @dataclass(frozen=True)
 class AcceptableVector:
-    """Validated entries with their sorted prime factorizations."""
+    """Entries with their sorted prime factorizations, valid by construction:
+    each factorization is a sorted tuple of distinct primes 1 mod 4 whose
+    product is its entry, and the entries are pairwise coprime."""
 
     entries: tuple[int, ...]
     factorizations: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if not self.entries:
+            raise ArgumentError("empty vector")
+        if len(self.factorizations) != len(self.entries):
+            raise AcceptabilityError("one factorization per entry is required")
+        for a, f in zip(self.entries, self.factorizations):
+            if (not f or f != tuple(sorted(set(f))) or prod(f) != a
+                    or any(p % 4 != 1 or not _is_prime_cached(p) for p in f)):
+                raise AcceptabilityError(
+                    f"{f} is not a factorization of entry {a} into distinct "
+                    f"primes congruent to 1 mod 4")
+        _check_coprime(self.entries)
 
     @property
     def n(self) -> int:
@@ -49,16 +72,8 @@ def parse_acceptable(entries) -> AcceptableVector:
     entries, prime factors not 1 mod 4 (including 2), and shared primes.
     """
     entries = tuple(int(a) for a in entries)
-    if not entries:
-        raise ArgumentError("empty vector")
-    facts = tuple(acceptable_prime_factors(a) for a in entries)
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            g = gcd(entries[i], entries[j])
-            if g != 1:
-                raise AcceptabilityError(
-                    f"entries {entries[i]} and {entries[j]} share the factor {g}")
-    return AcceptableVector(entries, facts)
+    return AcceptableVector(
+        entries, tuple(acceptable_prime_factors(a) for a in entries))
 
 
 def torsion_bound(v: AcceptableVector) -> int:
@@ -81,17 +96,10 @@ def is_strongly_quadratically_consistent(
     """All cross Legendre symbols between primes of distinct entries are +1.
 
     Returns (verdict, witnesses); each witness (p, q) with p < q is a failing
-    pair.  Symmetric by quadratic reciprocity since all primes are 1 mod 4,
-    so each unordered pair is checked once.
+    pair, each unordered pair checked once.
     """
-    witnesses = []
-    for i in range(v.n):
-        for j in range(i + 1, v.n):
-            for p in v.factorizations[i]:
-                for q in v.factorizations[j]:
-                    if _legendre_unchecked(p, q) != 1:
-                        witnesses.append((min(p, q), max(p, q)))
-    return not witnesses, sorted(set(witnesses))
+    witnesses = _consistency_witnesses(v.factorizations)
+    return not witnesses, witnesses
 
 
 @dataclass(frozen=True)
@@ -120,8 +128,6 @@ def is_maximal(v: AcceptableVector) -> MaximalityReport:
     the symbol [a_i, p, r] vanishes.  Composite first entries are expanded
     prime-by-prime (the symbol is additive) to share cached contexts.
     """
-    if v.n == 0:
-        raise ArgumentError("empty vector")
     if v.n > 3:
         raise UnsupportedDimensionError(
             f"maximality is only decidable here for n <= 3, got n = {v.n}")
@@ -135,7 +141,7 @@ def is_maximal(v: AcceptableVector) -> MaximalityReport:
                 for r in v.factorizations[k]:
                     val = 0
                     for ell in v.factorizations[i]:
-                        val ^= redei_symbol(ell, p, r)
+                        val ^= _symbol(ell, p, (r,))
                     if val:
                         failed.append(("redei", (v.entries[i], p, r)))
     failed.sort()

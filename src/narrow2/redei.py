@@ -16,13 +16,17 @@ places integral norm-one units are already +-squares mod 4, so sign plus a
 deterministic stream of primitive solutions exhausts the candidates.  Any
 normalized candidate yields the same symbol, which the test suite checks
 empirically.
+
+The public functions (redei_symbol, redei_context, context_stream,
+symbol_from_context) validate their arguments; the `_` kernels (_symbol,
+_context_cache) trust callers that already hold validated prime tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd
 
 from .arith import (
@@ -66,26 +70,28 @@ def acceptable_prime_factors(n: int, allow_one: bool = False) -> tuple[int, ...]
     return primes
 
 
-def _check_consistent(entries: list[int], parts: list[tuple[int, ...]]):
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if gcd(entries[i], entries[j]) != 1:
-                raise AcceptabilityError(
-                    f"entries {entries[i]} and {entries[j]} share a factor")
-    witnesses = []
-    allp = sorted(p for ps in parts for p in ps)
-    for i, ps in enumerate(parts):
-        for p in ps:
-            for j, qs in enumerate(parts):
-                if i == j:
-                    continue
-                for q in qs:
-                    if p < q and _legendre_unchecked(q, p) != 1:
-                        witnesses.append((p, q))
+def _check_coprime(entries) -> None:
+    for a, b in combinations(entries, 2):
+        g = gcd(a, b)
+        if g != 1:
+            raise AcceptabilityError(f"entries {a} and {b} share the factor {g}")
+
+
+def _consistency_witnesses(parts) -> list[tuple[int, int]]:
+    """Sorted unique pairs (p, q), p < q, of primes from distinct parts whose
+    Legendre symbol is not +1 (symmetric: every prime is 1 mod 4)."""
+    return sorted({(min(p, q), max(p, q))
+                   for ps, qs in combinations(parts, 2)
+                   for p in ps for q in qs if _legendre_unchecked(q, p) != 1})
+
+
+def _check_consistent(entries: list[int], parts) -> None:
+    _check_coprime(entries)
+    witnesses = _consistency_witnesses(parts)
     if witnesses:
         raise ConsistencyError(
             f"entries {entries} are not strongly quadratically consistent",
-            witnesses=sorted(set(witnesses)))
+            witnesses=witnesses)
 
 
 # ------------------------------------------------------- 2-adic square test
@@ -265,6 +271,12 @@ def redei_symbol(a: int, b: int, c: int) -> int:
     _check_consistent([a, b, c], [pa, pb, pc])
     if a == 1 or b == 1:
         return 0
+    return _symbol(a, b, pc)
+
+
+def _symbol(a: int, b: int, pc: tuple[int, ...]) -> int:
+    """[a, b, c] for the prime tuple pc of c, retrying degenerate primes with
+    further contexts.  Trusts a, b >= 2 and (a, b, c) consistent."""
     total = 0
     for p in pc:
         try:

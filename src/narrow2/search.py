@@ -4,10 +4,16 @@ A space is a list of disjoint coordinate sets of primes (all 1 mod 4) such
 that every cross pair has Legendre symbol +1 and every cross triple has
 vanishing triple symbol; by multilinearity, products of primes drawn from
 distinct coordinates then form maximal vectors in every dimension up to 3.
-Spaces grow one coordinate at a time by sieving and filtering candidates
-smallest-first, so results are reproducible; the per-candidate filter is
-split over worker chunks whose merge order is fixed, which keeps output
-independent of worker_count.
+Spaces grow one coordinate at a time by filtering candidates smallest-first,
+so results are reproducible.  Candidates are sieved in doubling levels (4096,
+8192, ..., the last capped at the limit; each level cached), and the walk
+stops once the coordinate is full.  The per-candidate filter is split over
+worker chunks whose merge order is fixed, which keeps output independent of
+worker_count.
+
+extend_space checks the incoming space once, then filters with the trusted
+Legendre and symbol kernels; verify_space rechecks through the public,
+validating calls.
 """
 
 from __future__ import annotations
@@ -18,10 +24,16 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 
-from .arith import is_prime, legendre, primes_one_mod_four
+from .arith import _legendre_unchecked, is_prime, legendre, primes_one_mod_four
 from .errors import ArgumentError, SearchExhaustedError, UnsupportedDimensionError
-from .maximality import AcceptableVector, is_maximal, parse_acceptable
-from .redei import acceptable_prime_factors, redei_context, redei_symbol
+from .maximality import AcceptableVector, is_maximal
+from .redei import (
+    _check_consistent,
+    _context_cache,
+    _symbol,
+    acceptable_prime_factors,
+    redei_symbol,
+)
 
 _BLOCK = 2048
 
@@ -90,17 +102,26 @@ def verify_space(space: RedeiSpace) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
-def _sieve(limit: int) -> tuple[int, ...]:
-    return tuple(int(p) for p in primes_one_mod_four(limit))
+_sieve_level = lru_cache(maxsize=32)(primes_one_mod_four)
 
 
-def _filter_chunked(candidates, accept, count, worker_count):
+def _candidate_blocks(limit: int):
+    """Primes 1 mod 4 up to limit, ascending, in blocks of at most _BLOCK,
+    sieved in doubling levels 4096, 8192, ... (the last capped at limit)."""
+    lo, hi = 0, 4096
+    while lo < limit:
+        hi = min(hi, limit)
+        ps = _sieve_level(hi)
+        ps = ps[ps > lo].tolist()
+        yield from (ps[i : i + _BLOCK] for i in range(0, len(ps), _BLOCK))
+        lo, hi = hi, 2 * hi
+
+
+def _filter_chunked(blocks, accept, count, worker_count):
     """First `count` acceptances in candidate order; chunk merge order is
     fixed so the result does not depend on worker_count."""
     hits = []
-    for start in range(0, len(candidates), _BLOCK):
-        block = candidates[start : start + _BLOCK]
+    for block in blocks:
         if worker_count > 1 and len(block) >= 4 * worker_count:
             step = -(-len(block) // worker_count)
             chunks = [block[i : i + step] for i in range(0, len(block), step)]
@@ -124,17 +145,17 @@ def extend_space(space: RedeiSpace, count: int, limit: int, *,
     if count < 1:
         raise ArgumentError("count must be >= 1")
     existing = space.primes
+    _check_consistent([prod(x) for x in space.sets], space.sets)
     pairs = [(p, q)
              for xi, xj in combinations(space.sets, 2)
              for p, q in product(xi, xj)]
 
-    def accept(z: int) -> bool:
-        return (all(legendre(z, p) == 1 for p in existing)
-                and all(redei_symbol(p, q, z) == 0 for p, q in pairs))
+    def accept(z: int) -> bool:  # (z|z) = 0 rejects resident primes
+        return (all(_legendre_unchecked(z, p) == 1 for p in existing)
+                and all(_symbol(p, q, (z,)) == 0 for p, q in pairs))
 
-    taken = set(existing)
-    candidates = [z for z in _sieve(int(limit)) if z not in taken]
-    hits = _filter_chunked(candidates, accept, count, worker_count)
+    hits = _filter_chunked(_candidate_blocks(int(limit)), accept, count,
+                           worker_count)
     if len(hits) < count:
         raise SearchExhaustedError(
             f"found {len(hits)} of {count} qualifying primes below {limit}",
@@ -179,15 +200,14 @@ def enumerate_maximal_vectors(profile, pool: int, limit: int, *,
     out = []
     for combo in product(*(combinations(space.sets[i], profile.parts[i])
                            for i in range(3))):
-        entries = tuple(prod(c) for c in combo)
-        vec = parse_acceptable(entries)
+        vec = AcceptableVector(tuple(map(prod, combo)), combo)
         if is_maximal(vec).verdict:
             out.append(vec)
     return out
 
 
 def _tau(a: int, l: int) -> bool:
-    return redei_context(a, l).totally_real
+    return _context_cache(a, l, 1)[0].totally_real
 
 
 def find_ray_class_vector(c: int, profile, limit: int, *,
@@ -227,15 +247,15 @@ def find_ray_class_vector(c: int, profile, limit: int, *,
         offset = 1 if c > 1 else 0
         for combo in product(*(combinations(space.sets[offset + i], k)
                                for i, k in enumerate(profile.parts))):
-            entries = tuple(prod(x) for x in combo)
-            combined = ((c,) + entries) if c > 1 else entries
-            if not is_maximal(parse_acceptable(combined)).verdict:
+            facts = space.sets[:offset] + combo
+            if not is_maximal(AcceptableVector(tuple(map(prod, facts)),
+                                               facts)).verdict:
                 continue
             products = [prod(prod(x) for x in sub)
                         for r in range(1, len(combo) + 1)
                         for sub in combinations(combo, r)]
             if all(_tau(a, l) for a in products for l in factors):
-                return parse_acceptable(entries)
+                return AcceptableVector(tuple(map(prod, combo)), combo)
         if clamped:
             raise SearchExhaustedError(
                 f"no qualifying vector for c={c} below {limit}", found=0)

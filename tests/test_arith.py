@@ -10,6 +10,7 @@ import subprocess
 import sys
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -310,23 +311,27 @@ def test_fundamental_unit_frozen(d, u, v, half):
 
 
 def _brute_fundamental(d, vmax=60000):
-    """Smallest unit > 1 of the maximal order, by scanning v; None if v > vmax."""
-    for v in range(1, vmax):
-        cands = []
-        for t in (-1, 1):
-            u2 = d * v * v + t
-            u = isqrt(u2)
-            if u * u == u2:
-                cands.append((u, v, False))
-        if d % 4 == 1 and v % 2 == 1:
-            for t in (-4, 4):
-                u2 = d * v * v + t
-                u = isqrt(u2)
-                if u * u == u2 and u % 2 == 1:
-                    cands.append((u, v, True))
-        if cands:
-            return min(cands, key=lambda c: (c[0] + c[1] * d**0.5) / (2 if c[2] else 1))
-    return None
+    """Smallest unit > 1 of the maximal order, by scanning v; None if v > vmax.
+
+    u^2 = d*v^2 + t stays below 3.6e12 here, so int64 is exact and the
+    rounded float64 square root is confirmed by u*u == u2 in int64.
+    """
+    v = np.arange(1, vmax, dtype=np.int64)
+    cands = []  # the first hit of each equation u^2 = d*v^2 + t
+    for t, half in ((-1, False), (1, False), (-4, True), (4, True)):
+        if half and d % 4 != 1:
+            continue
+        u2 = d * v * v + t
+        u = np.rint(np.sqrt(u2.astype(np.float64))).astype(np.int64)
+        hit = u * u == u2
+        if half:
+            hit &= (v % 2 == 1) & (u % 2 == 1)
+        cands += [(int(u[i]), int(v[i]), half) for i in np.flatnonzero(hit)[:1]]
+    if not cands:
+        return None
+    vmin = min(c[1] for c in cands)
+    return min((c for c in cands if c[1] == vmin),
+               key=lambda c: (c[0] + c[1] * d**0.5) / (2 if c[2] else 1))
 
 
 def test_fundamental_unit_minimal_below_1000():

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from narrow2 import arith, redei
 from narrow2.errors import (
     AcceptabilityError,
     ArgumentError,
@@ -48,6 +49,18 @@ def test_parse_rejections_name_entry():
         parse_acceptable((1, 13))
     with pytest.raises(ArgumentError):
         parse_acceptable(())
+
+
+def test_vector_rejects_invalid_factorizations():
+    with pytest.raises(AcceptabilityError):
+        AcceptableVector((65,), ((5, 17),))  # product is not the entry
+    with pytest.raises(AcceptabilityError):
+        AcceptableVector((325,), ((13, 25),))  # composite factor
+    with pytest.raises(AcceptabilityError):
+        AcceptableVector((91,), ((7, 13),))  # 7 is 3 mod 4
+    with pytest.raises(AcceptabilityError, match="share the factor 13"):
+        AcceptableVector((65, 13), ((5, 13), (13,)))
+    assert AcceptableVector((65, 17), ((5, 13), (17,))) == parse_acceptable((65, 17))
 
 
 # ------------------------------------------------------------------ bounds
@@ -146,6 +159,17 @@ def test_maximality_entry_merge():
     rep = is_maximal(parse_acceptable((a1 * a2, a3)))
     assert rep.verdict
     assert rep.bound == 3 * 2 - 4 + 1
+
+
+def test_maximal_trusts_parsed_factorizations(monkeypatch):
+    v = parse_acceptable((65, 1769, 30030601))  # profile (2, 2, 2)
+    calls = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize",
+                        lambda n: calls.append(n) or factorize(n))
+    redei._context_cache.cache_clear()
+    assert is_maximal(v).verdict
+    assert calls == []
 
 
 def test_maximality_dimension_errors():

@@ -15,6 +15,7 @@ from narrow2.errors import (
     ArgumentError,
     ConsistencyError,
 )
+from narrow2.maximality import is_strongly_quadratically_consistent, parse_acceptable
 from narrow2.redei import (
     acceptable_prime_factors,
     context_stream,
@@ -137,6 +138,23 @@ def test_symbol_preconditions():
         redei_symbol(5, 29, 0)
     with pytest.raises(AcceptabilityError):
         redei_symbol(5, 29, 145)  # shares 5 and 29
+
+
+def test_symbol_witnesses_match_vector_consistency():
+    rng = random.Random(61)
+    pool = [int(p) for p in primes_one_mod_four(500)]
+    done = 0
+    while done < 20:
+        primes = rng.sample(pool, 5)
+        entries = (primes[0] * primes[1], primes[2], primes[3] * primes[4])
+        ok, witnesses = is_strongly_quadratically_consistent(
+            parse_acceptable(entries))
+        if ok:
+            continue
+        with pytest.raises(ConsistencyError) as e:
+            redei_symbol(*entries)
+        assert e.value.witnesses == witnesses, entries
+        done += 1
 
 
 def test_acceptable_prime_factors():

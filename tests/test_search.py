@@ -7,6 +7,7 @@ from narrow2.arith import legendre, primes_one_mod_four
 from narrow2.errors import (
     AcceptabilityError,
     ArgumentError,
+    ConsistencyError,
     SearchExhaustedError,
     UnsupportedDimensionError,
 )
@@ -14,6 +15,7 @@ from narrow2.maximality import is_maximal, parse_acceptable, torsion_bound
 from narrow2.search import (
     OmegaProfile,
     RedeiSpace,
+    _candidate_blocks,
     build_space,
     empty_space,
     enumerate_maximal_vectors,
@@ -79,6 +81,17 @@ class TestExtendSpace:
             extend_space(empty_space(), 100, 30)
         assert info.value.found == 4  # 5, 13, 17, 29
 
+    def test_inconsistent_space_is_rejected_up_front(self):
+        with pytest.raises(ConsistencyError) as info:
+            extend_space(RedeiSpace(((5,), (13,))), 1, 1000)
+        assert info.value.witnesses == [(5, 13)]
+
+    @pytest.mark.parametrize("limit", [100, 4096, 8192, 10**5])
+    def test_candidate_blocks_cover_the_sieve(self, limit):
+        blocks = list(_candidate_blocks(limit))
+        assert sum(blocks, []) == primes_one_mod_four(limit).tolist()
+        assert all(0 < len(b) <= 2048 for b in blocks)
+
     def test_count_must_be_positive(self):
         with pytest.raises(ArgumentError):
             extend_space(empty_space(), 0, 100)
@@ -111,6 +124,7 @@ class TestEnumerate:
         assert len(vecs) == 8
         space = build_space(3, 2, 10**7)
         for v in vecs:
+            assert v == parse_acceptable(v.entries)
             for entry, coord in zip(v.entries, space.sets):
                 assert entry in coord
 
@@ -127,6 +141,7 @@ class TestEnumerate:
         vecs = enumerate_maximal_vectors((2, 2, 2), 1, 10**7)
         assert vecs
         for v in vecs:
+            assert v == parse_acceptable(v.entries)
             assert tuple(len(f) for f in v.factorizations) == (2, 2, 2)
             assert torsion_bound(v) == 17
 
