@@ -424,6 +424,11 @@ def fundamental_unit(d: int) -> QuadraticUnit:
     squarefree_part(d)
     if d < 2:
         raise ArgumentError(f"fundamental_unit: {d} < 2")
+    return _fundamental_unit(d)
+
+
+def _fundamental_unit(d: int) -> QuadraticUnit:
+    """fundamental_unit for a caller that guarantees d >= 2 squarefree."""
     g, b, _ = _pqa_unit(d, 0, 1)
     best = QuadraticUnit(d, abs(g), abs(b), False)
     if d % 4 == 1:

@@ -168,8 +168,7 @@ def _timed(doc: dict, started: float, args) -> dict:
 
 def cmd_search_space(args, config: RunConfig) -> str:
     started = time.monotonic()
-    space = search.build_space(args.m, args.n, config.prime_limit,
-                               worker_count=config.worker_count)
+    space = search.build_space(args.m, args.n, config.prime_limit)
     if config.output_format == "csv":
         rows = ["coordinate,prime"]
         rows += [f"{i + 1},{p}" for i, coord in enumerate(space.sets)
@@ -188,9 +187,8 @@ def cmd_search_space(args, config: RunConfig) -> str:
 def cmd_search_triples(args, config: RunConfig) -> str:
     started = time.monotonic()
     profile = search.OmegaProfile.of(args.omega)
-    vectors = search.enumerate_maximal_vectors(
-        profile, args.pool, config.prime_limit,
-        worker_count=config.worker_count)
+    vectors = search.enumerate_maximal_vectors(profile, args.pool,
+                                               config.prime_limit)
     if config.output_format == "csv":
         rows = ["a1,a2,a3,torsion_bound"]
         rows += [",".join(str(a) for a in v.entries) + f",{torsion_bound(v)}"
@@ -210,8 +208,7 @@ def cmd_search_triples(args, config: RunConfig) -> str:
 def cmd_search_rayclass(args, config: RunConfig) -> str:
     started = time.monotonic()
     profile = search.OmegaProfile.of(args.omega)
-    v = search.find_ray_class_vector(args.c, profile, config.prime_limit,
-                                     worker_count=config.worker_count)
+    v = search.find_ray_class_vector(args.c, profile, config.prime_limit)
     report = rayclass.ray_class_report(v, args.c)
     combined = parse_acceptable(((args.c,) if args.c > 1 else ()) + v.entries)
     doc = {
@@ -294,6 +291,13 @@ def _add_output_flags(p, formats=("json", "text")):
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
+def _add_search_flags(p):
+    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and has no effect; search runs in one thread")
+    p.add_argument("--timing", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="narrow2",
@@ -322,9 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--n", type=int, required=True,
                    help="primes per coordinate")
-    q.add_argument("--limit", type=int, default=None)
-    q.add_argument("--workers", type=int, default=1)
-    q.add_argument("--timing", action="store_true")
+    _add_search_flags(q)
     _add_output_flags(q, ("json", "csv"))
     q.set_defaults(func=cmd_search_space)
 
@@ -332,18 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--omega", required=True,
                    help="comma-separated factor counts, e.g. 1,1,1")
     q.add_argument("--pool", type=int, default=1)
-    q.add_argument("--limit", type=int, default=None)
-    q.add_argument("--workers", type=int, default=1)
-    q.add_argument("--timing", action="store_true")
+    _add_search_flags(q)
     _add_output_flags(q, ("json", "csv"))
     q.set_defaults(func=cmd_search_triples)
 
     q = ssub.add_parser("rayclass", help="search a vector for a ray modulus")
     q.add_argument("--c", type=int, required=True)
     q.add_argument("--omega", required=True)
-    q.add_argument("--limit", type=int, default=None)
-    q.add_argument("--workers", type=int, default=1)
-    q.add_argument("--timing", action="store_true")
+    _add_search_flags(q)
     _add_output_flags(q, ("json",))
     q.set_defaults(func=cmd_search_rayclass)
 

@@ -81,14 +81,19 @@ def torsion_bound(v: AcceptableVector) -> int:
     return v.omega_total * (1 << (v.n - 1)) - (1 << v.n) + 1
 
 
-def ray_class_bound(v: AcceptableVector, c: int) -> int:
-    """torsion_bound(v) + 2^n * omega(c) for a squarefree modulus c coprime
-    to the vector, with every prime factor of c congruent to 1 mod 4."""
+def _modulus_primes(v: AcceptableVector, c: int) -> tuple[int, ...]:
+    """The primes of c, checked as ray_class_bound requires (c = 1 allowed)."""
     pc = acceptable_prime_factors(c, allow_one=True)
     for a in v.entries:
         if gcd(a, c) != 1:
             raise ArgumentError(f"modulus {c} shares a factor with entry {a}")
-    return torsion_bound(v) + (1 << v.n) * len(pc)
+    return pc
+
+
+def ray_class_bound(v: AcceptableVector, c: int) -> int:
+    """torsion_bound(v) + 2^n * omega(c) for a squarefree modulus c coprime
+    to the vector, with every prime factor of c congruent to 1 mod 4."""
+    return torsion_bound(v) + (1 << v.n) * len(_modulus_primes(v, c))
 
 
 def is_strongly_quadratically_consistent(

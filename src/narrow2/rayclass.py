@@ -17,20 +17,20 @@ artifact never executes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
-from .arith import fundamental_unit, legendre, sqrt_mod
-from .errors import ArgumentError, UnsupportedDimensionError
+from .arith import _fundamental_unit, _legendre_unchecked, _sqrt_mod_unchecked
+from .errors import UnsupportedDimensionError
 from .expansion import subset_masks
 from .maximality import (
     AcceptableVector,
     MaximalityReport,
+    _modulus_primes,
     is_maximal,
     parse_acceptable,
     ray_class_bound,
     torsion_bound,
 )
-from .redei import acceptable_prime_factors
 
 _SCOPE_FULL = "full unit group modulo torsion"
 _SCOPE_SUBGROUP = ("subgroup generated by quadratic-subfield units"
@@ -63,13 +63,31 @@ def _unit_square_at(d: int, l: int, s: int) -> bool:
     """Is the fundamental unit of Q(sqrt(d)) a square in F_l, embedding
     sqrt(d) at s?  The conjugate embedding is used if the first vanishes;
     both cannot vanish because the unit norm is a power of 2 times +-1."""
-    eps = fundamental_unit(d)
+    eps = _fundamental_unit(d)
     value = (eps.u + eps.v * s) % l
     if value == 0:
         value = (eps.u - eps.v * s) % l
     if eps.half:
         value = value * (l + 1) // 2 % l
-    return legendre(value, l) == 1
+    return _legendre_unchecked(value, l) == 1
+
+
+def _unit_rows(v: AcceptableVector, c: int,
+               moduli: tuple[int, ...]) -> UnitReductionReport:
+    """verify_unit_reduction for the checked primes of c; trusts that each
+    is a prime 1 mod 4 and every subfield d a squarefree product."""
+    subfields = tuple(
+        prod(v.entries[i] for i in range(v.n) if mask >> i & 1)
+        for mask in subset_masks(v.n) if mask)
+    rows = []
+    for d in (-1,) + subfields:
+        for l in moduli:
+            split = _legendre_unchecked(d, l) == 1
+            square = split and (d == -1 or _unit_square_at(
+                d, l, _sqrt_mod_unchecked(d, l)))
+            rows.append((d, l, split, square))
+    scope = _SCOPE_FULL if v.n == 1 else _SCOPE_SUBGROUP
+    return UnitReductionReport(c, subfields, tuple(rows), scope)
 
 
 def verify_unit_reduction(v, c: int) -> UnitReductionReport:
@@ -80,25 +98,7 @@ def verify_unit_reduction(v, c: int) -> UnitReductionReport:
     """
     v = _coerce(v)
     c = int(c)
-    moduli = acceptable_prime_factors(c, allow_one=True)
-    if gcd(c, prod(v.entries)) != 1:
-        raise ArgumentError(f"modulus {c} shares a prime with the vector")
-    subfields = tuple(
-        prod(v.entries[i] for i in range(v.n) if mask >> i & 1)
-        for mask in subset_masks(v.n) if mask)
-    rows = []
-    for d in (-1,) + subfields:
-        for l in moduli:
-            split = legendre(d, l) == 1
-            if d == -1:
-                square = split
-            elif split:
-                square = _unit_square_at(d, l, sqrt_mod(d % l, l))
-            else:
-                square = False
-            rows.append((d, l, split, square))
-    scope = _SCOPE_FULL if v.n == 1 else _SCOPE_SUBGROUP
-    return UnitReductionReport(c, subfields, tuple(rows), scope)
+    return _unit_rows(v, c, _modulus_primes(v, c))
 
 
 def predicted_ray_dimension(v, c: int) -> int:
@@ -122,9 +122,10 @@ def ray_class_report(v, c: int) -> RayClassPrediction:
     predicted to be an equality."""
     v = _coerce(v)
     c = int(c)
-    bound = predicted_ray_dimension(v, c)
+    moduli = _modulus_primes(v, c)
+    bound = torsion_bound(v) + (1 << v.n) * len(moduli)
     maximal = is_maximal(v)
-    units = verify_unit_reduction(v, c)
+    units = _unit_rows(v, c, moduli)
     return RayClassPrediction(v, c, bound, maximal, units,
                               maximal.verdict and units.verdict)
 
@@ -142,7 +143,7 @@ def emit_gp_script(v, c: int = 1, out=None) -> str:
     c = int(c)
     if v.n > 3:
         raise UnsupportedDimensionError("no certifier exists above three entries")
-    acceptable_prime_factors(c, allow_one=True)
+    _modulus_primes(v, c)
     narrow = torsion_bound(v)
     lines = [
         f"\\\\ 2-torsion oracle for vector {v.entries}, modulus {c}",

@@ -6,10 +6,8 @@ vanishing triple symbol; by multilinearity, products of primes drawn from
 distinct coordinates then form maximal vectors in every dimension up to 3.
 Spaces grow one coordinate at a time by filtering candidates smallest-first,
 so results are reproducible.  Candidates are sieved in doubling levels (4096,
-8192, ..., the last capped at the limit; each level cached), and the walk
-stops once the coordinate is full.  The per-candidate filter is split over
-worker chunks whose merge order is fixed, which keeps output independent of
-worker_count.
+8192, ..., the last capped at the limit; each level cached), and one
+ascending walk stops at the count-th hit, so no later candidate is tested.
 
 extend_space checks the incoming space once, then filters with the trusted
 Legendre and symbol kernels; verify_space rechecks through the public,
@@ -18,10 +16,9 @@ validating calls.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import prod
 
 from .arith import _legendre_unchecked, is_prime, legendre, primes_one_mod_four
@@ -34,8 +31,6 @@ from .redei import (
     acceptable_prime_factors,
     redei_symbol,
 )
-
-_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -105,35 +100,15 @@ def verify_space(space: RedeiSpace) -> bool:
 _sieve_level = lru_cache(maxsize=32)(primes_one_mod_four)
 
 
-def _candidate_blocks(limit: int):
-    """Primes 1 mod 4 up to limit, ascending, in blocks of at most _BLOCK,
-    sieved in doubling levels 4096, 8192, ... (the last capped at limit)."""
+def _candidate_levels(limit: int):
+    """Primes 1 mod 4 up to limit, ascending, one list per doubling sieve
+    level 4096, 8192, ... (the last capped at limit)."""
     lo, hi = 0, 4096
     while lo < limit:
         hi = min(hi, limit)
         ps = _sieve_level(hi)
-        ps = ps[ps > lo].tolist()
-        yield from (ps[i : i + _BLOCK] for i in range(0, len(ps), _BLOCK))
+        yield ps[ps > lo].tolist()
         lo, hi = hi, 2 * hi
-
-
-def _filter_chunked(blocks, accept, count, worker_count):
-    """First `count` acceptances in candidate order; chunk merge order is
-    fixed so the result does not depend on worker_count."""
-    hits = []
-    for block in blocks:
-        if worker_count > 1 and len(block) >= 4 * worker_count:
-            step = -(-len(block) // worker_count)
-            chunks = [block[i : i + step] for i in range(0, len(block), step)]
-            with ThreadPoolExecutor(max_workers=worker_count) as pool:
-                parts = pool.map(lambda ch: [z for z in ch if accept(z)], chunks)
-            for part in parts:
-                hits.extend(part)
-        else:
-            hits.extend(z for z in block if accept(z))
-        if len(hits) >= count:
-            return hits[:count]
-    return hits
 
 
 def extend_space(space: RedeiSpace, count: int, limit: int, *,
@@ -141,7 +116,8 @@ def extend_space(space: RedeiSpace, count: int, limit: int, *,
     """Append one coordinate of `count` new primes z <= limit with
     legendre(z, p) = +1 against every resident prime and vanishing symbol
     (p, q, z) against every cross pair; raises SearchExhaustedError carrying
-    the number found when the sieve runs dry."""
+    the number found when the sieve runs dry.  worker_count is accepted and
+    has no effect."""
     if count < 1:
         raise ArgumentError("count must be >= 1")
     existing = space.primes
@@ -154,8 +130,11 @@ def extend_space(space: RedeiSpace, count: int, limit: int, *,
         return (all(_legendre_unchecked(z, p) == 1 for p in existing)
                 and all(_symbol(p, q, (z,)) == 0 for p, q in pairs))
 
-    hits = _filter_chunked(_candidate_blocks(int(limit)), accept, count,
-                           worker_count)
+    hits = []
+    for level in _candidate_levels(int(limit)):
+        hits += islice(filter(accept, level), count - len(hits))
+        if len(hits) == count:
+            break
     if len(hits) < count:
         raise SearchExhaustedError(
             f"found {len(hits)} of {count} qualifying primes below {limit}",
@@ -169,12 +148,13 @@ def extend_space(space: RedeiSpace, count: int, limit: int, *,
 
 def build_space(m: int, count: int, limit: int, *,
                 worker_count: int = 1) -> RedeiSpace:
-    """Iterated extension of the empty space to m coordinates."""
+    """Iterated extension of the empty space to m coordinates.
+    worker_count is accepted and has no effect."""
     if m < 1:
         raise ArgumentError("m must be >= 1")
     space = empty_space()
     for _ in range(m):
-        space = extend_space(space, count, limit, worker_count=worker_count)
+        space = extend_space(space, count, limit)
     return space
 
 
@@ -186,6 +166,7 @@ def enumerate_maximal_vectors(profile, pool: int, limit: int, *,
 
     Multilinearity makes every candidate pass; the recheck is kept anyway so
     that no emitted vector ever relies on the construction being correct.
+    worker_count is accepted and has no effect.
     """
     profile = OmegaProfile.of(profile)
     if profile.n > 3:
@@ -196,7 +177,7 @@ def enumerate_maximal_vectors(profile, pool: int, limit: int, *,
     if pool < 1:
         raise ArgumentError("pool must be >= 1")
     per_coord = max(profile.parts) * pool
-    space = build_space(3, per_coord, limit, worker_count=worker_count)
+    space = build_space(3, per_coord, limit)
     out = []
     for combo in product(*(combinations(space.sets[i], profile.parts[i])
                            for i in range(3))):
@@ -220,7 +201,8 @@ def find_ray_class_vector(c: int, profile, limit: int, *,
 
     The extra total-reality condition is not implied by the positivity
     normalization of the symbol contexts; (41, 5) is a consistent pair
-    whose contexts are never totally real.
+    whose contexts are never totally real.  worker_count is accepted and has
+    no effect.
     """
     c = int(c)
     factors = acceptable_prime_factors(c, allow_one=True)
@@ -236,14 +218,12 @@ def find_ray_class_vector(c: int, profile, limit: int, *,
         space = seed
         for k in profile.parts:
             try:
-                space = extend_space(space, k * mult, limit,
-                                     worker_count=worker_count)
+                space = extend_space(space, k * mult, limit)
             except SearchExhaustedError as e:
                 if e.found < k:
                     raise
                 clamped = True
-                space = extend_space(space, e.found, limit,
-                                     worker_count=worker_count)
+                space = extend_space(space, e.found, limit)
         offset = 1 if c > 1 else 0
         for combo in product(*(combinations(space.sets[offset + i], k)
                                for i, k in enumerate(profile.parts))):

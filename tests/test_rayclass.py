@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from narrow2 import arith
 from narrow2.arith import sqrt_mod
 from narrow2.errors import (
     AcceptabilityError,
@@ -92,7 +93,8 @@ class TestVerifyUnitReduction:
                     assert split and square
 
     def test_shared_prime_rejected(self):
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError,
+                           match="modulus 5 shares a factor with entry 65"):
             verify_unit_reduction((65,), 5)
 
     def test_root_choice_is_irrelevant(self):
@@ -123,6 +125,15 @@ class TestRayClassReport:
         assert rep.maximal.verdict
         assert not rep.units.verdict
         assert not rep.attained
+
+    def test_factors_only_the_modulus(self, monkeypatch):
+        v = parse_acceptable((5, 29, 109))
+        calls = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize",
+                            lambda n: calls.append(n) or factorize(n))
+        ray_class_report(v, 221)
+        assert calls == [221]
 
 
 class TestEmitGpScript:

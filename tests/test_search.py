@@ -3,6 +3,7 @@ ray-class vector search."""
 
 import pytest
 
+from narrow2 import search
 from narrow2.arith import legendre, primes_one_mod_four
 from narrow2.errors import (
     AcceptabilityError,
@@ -15,7 +16,7 @@ from narrow2.maximality import is_maximal, parse_acceptable, torsion_bound
 from narrow2.search import (
     OmegaProfile,
     RedeiSpace,
-    _candidate_blocks,
+    _candidate_levels,
     build_space,
     empty_space,
     enumerate_maximal_vectors,
@@ -88,9 +89,18 @@ class TestExtendSpace:
 
     @pytest.mark.parametrize("limit", [100, 4096, 8192, 10**5])
     def test_candidate_blocks_cover_the_sieve(self, limit):
-        blocks = list(_candidate_blocks(limit))
-        assert sum(blocks, []) == primes_one_mod_four(limit).tolist()
-        assert all(0 < len(b) <= 2048 for b in blocks)
+        assert (sum(_candidate_levels(limit), [])
+                == primes_one_mod_four(limit).tolist())
+
+    def test_walk_stops_at_the_last_hit(self, monkeypatch):
+        calls = []
+        legendre_unchecked = search._legendre_unchecked
+        monkeypatch.setattr(
+            search, "_legendre_unchecked",
+            lambda a, p: calls.append(a) or legendre_unchecked(a, p))
+        s = extend_space(RedeiSpace(((5,),)), 1, 10**5)
+        assert s.sets == ((5,), (29,))
+        assert calls == [5, 13, 17, 29]
 
     def test_count_must_be_positive(self):
         with pytest.raises(ArgumentError):
