@@ -370,56 +370,40 @@ class QuadraticUnit:
         return n // 4 if self.half else n
 
 
-def _pqa_unit(d: int, p0: int, q0: int):
-    """PQa iteration from (P,Q) = (p0,q0); returns (G, B, k) at the first
-    recurrence Q_{k+1} == q0, or None if the (P,Q) orbit cycles first.
+def _pqa_unit(d: int, m: int = 0):
+    """One period of the continued fraction of (p0 + sqrt(d))/q0, where
+    (p0, q0) = (1, 2) if d = 1 mod 4 else (0, 1): returns (G, B, q0) at the
+    first Q_{k+1} == q0, and (G + B*sqrt(d))/q0 is the fundamental unit of
+    the maximal order.  G and B are reduced mod m when m > 0.
 
-    Identity: G_k^2 - d*B_k^2 = (-1)^(k+1) * q0 * Q_{k+1}.
+    G_k^2 - d*B_k^2 = (-1)^(k+1) * q0 * Q_{k+1}.  The complete quotients
+    (P_k + sqrt(d))/Q_k are reduced from k = 1 on, and the only reduced one
+    with Q = q0 closes the period, so Q first returns to q0 after one period.
     """
+    p0, q0 = (1, 2) if d % 4 == 1 else (0, 1)
     sq = isqrt(d)
     P, Q = p0, q0
     g2, g1 = -p0, q0  # G_k = Q0*A_k - P0*B_k over convergents A_k/B_k
     b2, b1 = 1, 0
-    seen = set()
-    for k in range(10_000_000):
+    for _ in range(10_000_000):
         a = (P + sq) // Q
         g = a * g1 + g2
         b = a * b1 + b2
+        if m:
+            g, b = g % m, b % m
         P = a * Q - P
         Q = (d - P * P) // Q
-        if Q == q0 and k >= 0:
-            return g, b, k
-        if (P, Q) in seen:
-            return None
-        seen.add((P, Q))
+        if Q == q0:
+            return g, b, q0
         g2, g1 = g1, g
         b2, b1 = b1, b
     raise RuntimeError("PQa failed to terminate")
 
 
-def _unit_less(d: int, s: QuadraticUnit, t: QuadraticUnit) -> bool:
-    """Exact comparison of (s.u + s.v*sqrt(d))/2^s.half against t, all coords > 0."""
-    a = s.u * (2 if t.half else 1)
-    b = s.v * (2 if t.half else 1)
-    c = t.u * (2 if s.half else 1)
-    e = t.v * (2 if s.half else 1)
-    # a + b*sqrt(d) < c + e*sqrt(d)  <=>  a - c < (e - b)*sqrt(d)
-    lhs, rhs = a - c, e - b
-    if lhs < 0 <= rhs:
-        return True
-    if rhs < 0 <= lhs:
-        return False
-    if lhs >= 0:
-        return lhs * lhs < rhs * rhs * d
-    return lhs * lhs > rhs * rhs * d
-
-
 def fundamental_unit(d: int) -> QuadraticUnit:
-    """Fundamental unit of the maximal order of Q(sqrt(d)), d >= 2 squarefree.
-
-    Continued-fraction expansion of sqrt(d), plus the (1 + sqrt(d))/2
-    expansion when d = 1 mod 4 (catching half-integral units with
-    u^2 - d*v^2 = +-4); the smaller of the two candidates wins.
+    """Fundamental unit of the maximal order of Q(sqrt(d)), d >= 2 squarefree,
+    from one period of the continued fraction of (1 + sqrt(d))/2 if d = 1
+    mod 4 (half-integral units, u^2 - d*v^2 = +-4) and of sqrt(d) otherwise.
     """
     squarefree_part(d)
     if d < 2:
@@ -429,14 +413,7 @@ def fundamental_unit(d: int) -> QuadraticUnit:
 
 def _fundamental_unit(d: int) -> QuadraticUnit:
     """fundamental_unit for a caller that guarantees d >= 2 squarefree."""
-    g, b, _ = _pqa_unit(d, 0, 1)
-    best = QuadraticUnit(d, abs(g), abs(b), False)
-    if d % 4 == 1:
-        hit = _pqa_unit(d, 1, 2)
-        if hit is not None:
-            g, b = abs(hit[0]), abs(hit[1])
-            cand = (QuadraticUnit(d, g // 2, b // 2, False)
-                    if g % 2 == 0 and b % 2 == 0 else QuadraticUnit(d, g, b, True))
-            if _unit_less(d, cand, best):
-                best = cand
-    return best
+    g, b, q0 = _pqa_unit(d)
+    if q0 == 2 and g % 2 == 0 and b % 2 == 0:
+        return QuadraticUnit(d, g // 2, b // 2, False)
+    return QuadraticUnit(d, g, b, q0 == 2)

@@ -28,7 +28,6 @@ from .errors import (
 from .maximality import (
     is_maximal,
     parse_acceptable,
-    ray_class_bound,
     torsion_bound,
 )
 from .redei import redei_context, redei_symbol
@@ -137,13 +136,14 @@ def cmd_symbol(args, config: RunConfig) -> str:
 
 def cmd_maximal(args, config: RunConfig) -> str:
     v = parse_acceptable(tuple(args.entries))
-    report = is_maximal(v)
+    ray = None if args.c is None else rayclass.ray_class_report(v, args.c)
+    report = is_maximal(v) if ray is None else ray.maximal
     doc = _vector_doc(v) | {"maximal": _maximality_doc(report)}
-    if args.c is not None:
+    if ray is not None:
         doc["ray"] = {
             "c": args.c,
-            "ray_bound": ray_class_bound(v, args.c),
-            "units": _units_doc(rayclass.verify_unit_reduction(v, args.c)),
+            "ray_bound": ray.bound,
+            "units": _units_doc(ray.units),
         }
     if config.output_format == "text":
         lines = [f"entries {' '.join(str(a) for a in v.entries)}",

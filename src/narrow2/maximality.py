@@ -90,10 +90,15 @@ def _modulus_primes(v: AcceptableVector, c: int) -> tuple[int, ...]:
     return pc
 
 
+def _ray_bound(v: AcceptableVector, moduli: tuple[int, ...]) -> int:
+    """ray_class_bound for the checked primes of c."""
+    return torsion_bound(v) + (1 << v.n) * len(moduli)
+
+
 def ray_class_bound(v: AcceptableVector, c: int) -> int:
     """torsion_bound(v) + 2^n * omega(c) for a squarefree modulus c coprime
     to the vector, with every prime factor of c congruent to 1 mod 4."""
-    return torsion_bound(v) + (1 << v.n) * len(_modulus_primes(v, c))
+    return _ray_bound(v, _modulus_primes(v, c))
 
 
 def is_strongly_quadratically_consistent(

@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .arith import _fundamental_unit, _legendre_unchecked, _sqrt_mod_unchecked
+from .arith import _legendre_unchecked, _pqa_unit, _sqrt_mod_unchecked
 from .errors import UnsupportedDimensionError
 from .expansion import subset_masks
 from .maximality import (
     AcceptableVector,
     MaximalityReport,
     _modulus_primes,
+    _ray_bound,
     is_maximal,
     parse_acceptable,
     ray_class_bound,
@@ -61,15 +62,10 @@ class UnitReductionReport:
 
 def _unit_square_at(d: int, l: int, s: int) -> bool:
     """Is the fundamental unit of Q(sqrt(d)) a square in F_l, embedding
-    sqrt(d) at s?  The conjugate embedding is used if the first vanishes;
-    both cannot vanish because the unit norm is a power of 2 times +-1."""
-    eps = _fundamental_unit(d)
-    value = (eps.u + eps.v * s) % l
-    if value == 0:
-        value = (eps.u - eps.v * s) % l
-    if eps.half:
-        value = value * (l + 1) // 2 % l
-    return _legendre_unchecked(value, l) == 1
+    sqrt(d) at s?  The unit is reduced mod l along its expansion and never
+    built exactly; it cannot vanish mod l because its norm is +-1."""
+    g, b, q0 = _pqa_unit(d, l)
+    return _legendre_unchecked((g + b * s) * pow(q0, -1, l), l) == 1
 
 
 def _unit_rows(v: AcceptableVector, c: int,
@@ -122,11 +118,10 @@ def ray_class_report(v, c: int) -> RayClassPrediction:
     predicted to be an equality."""
     v = _coerce(v)
     c = int(c)
+    maximal = is_maximal(v)  # first: an unsupported dimension outranks a bad c
     moduli = _modulus_primes(v, c)
-    bound = torsion_bound(v) + (1 << v.n) * len(moduli)
-    maximal = is_maximal(v)
     units = _unit_rows(v, c, moduli)
-    return RayClassPrediction(v, c, bound, maximal, units,
+    return RayClassPrediction(v, c, _ray_bound(v, moduli), maximal, units,
                               maximal.verdict and units.verdict)
 
 
@@ -143,8 +138,7 @@ def emit_gp_script(v, c: int = 1, out=None) -> str:
     c = int(c)
     if v.n > 3:
         raise UnsupportedDimensionError("no certifier exists above three entries")
-    _modulus_primes(v, c)
-    narrow = torsion_bound(v)
+    moduli = _modulus_primes(v, c)
     lines = [
         f"\\\\ 2-torsion oracle for vector {v.entries}, modulus {c}",
         "\\\\ prints RANK lines to diff against the EXPECTED lines below",
@@ -158,16 +152,14 @@ def emit_gp_script(v, c: int = 1, out=None) -> str:
         'print("RANK narrow ", #select(t -> t % 2 == 0, cyc));',
     ]
     if c > 1:
-        ray = predicted_ray_dimension(v, c)
         lines += [
             f"bnr = bnrinit(bnf, {c});",
             "rcyc = bnr.clgp.cyc;",
             'print("RANK ray ", #select(t -> t % 2 == 0, rcyc));',
-            f'print("EXPECTED narrow {narrow}");',
-            f'print("EXPECTED ray {ray}");',
         ]
-    else:
-        lines.append(f'print("EXPECTED narrow {narrow}");')
+    lines.append(f'print("EXPECTED narrow {torsion_bound(v)}");')
+    if c > 1:
+        lines.append(f'print("EXPECTED ray {_ray_bound(v, moduli)}");')
     text = "\n".join(lines) + "\n"
     if out is not None:
         out.write(text)

@@ -1,13 +1,14 @@
 """End-to-end tests for the command-line interface: output formats, exit
 codes, determinism, and the golden shapes of serialized documents."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from narrow2 import additive
+from narrow2 import additive, arith
 from narrow2.cli import EXIT_CODES, RunConfig, main
 from narrow2.errors import ArgumentError
 
@@ -82,6 +83,36 @@ class TestMaximal:
         doc = json.loads(out)
         assert doc["ray"]["ray_bound"] == 2
         assert doc["ray"]["units"]["verdict"] is True
+
+    @pytest.mark.parametrize("entries,c,json_sha256,text", [
+        (("5", "29", "109"), "221",
+         "19e6eaed511046c9349c74fe6eb6d7ebd1051b0fb51c2bb44f633027f35266e7",
+         "entries 5 29 109\nmaximal true\ntorsion_bound 5\nray_bound 21\n"
+         "units false\n"),
+        (("13", "17"), "53",
+         "8cb3b7d1c9037e155a35bb1d651f07c8bfd3ab45b95344b3d2f39f560106de94",
+         "entries 13 17\nmaximal true\ntorsion_bound 1\nray_bound 5\n"
+         "units true\n"),
+    ], ids=["5-29-109-c221", "13-17-c53"])
+    def test_ray_output_frozen(self, capsys, entries, c, json_sha256, text):
+        # recorded with the units built exactly
+        code, out, _ = run(capsys, "maximal", *entries, "--c", c)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
+        assert run(capsys, "maximal", *entries, "--c", c,
+                   "--format", "text") == (0, text, "")
+
+    def test_ray_section_factors_the_modulus_once(self, capsys, monkeypatch):
+        calls = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize",
+                            lambda n: calls.append(n) or factorize(n))
+        code, _, _ = run(capsys, "maximal", "5", "29", "109", "--c", "221")
+        assert code == 0 and calls == [5, 29, 109, 221]
+
+    def test_dimension_refusal_outranks_bad_modulus(self, capsys):
+        code, _, _ = run(capsys, "maximal", "5", "13", "17", "29", "--c", "12")
+        assert code == EXIT_CODES["dimension"]
 
     def test_dimension_refusal(self, capsys):
         code, _, err = run(capsys, "maximal", "5", "13", "17", "29")

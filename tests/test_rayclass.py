@@ -1,11 +1,14 @@
 """Tests for ray-class predictions, unit reduction, and the GP emitter."""
 
+import hashlib
 import io
+from math import prod
+from pathlib import Path
 
 import pytest
 
 from narrow2 import arith
-from narrow2.arith import sqrt_mod
+from narrow2.arith import _pqa_unit, legendre, primes_one_mod_four, sqrt_mod
 from narrow2.errors import (
     AcceptabilityError,
     ArgumentError,
@@ -21,6 +24,8 @@ from narrow2.rayclass import (
     verify_unit_reduction,
 )
 from narrow2.search import find_ray_class_vector
+
+CENSUS_C_SQUARES = Path(__file__).parent / "data" / "unit_census_c.bin"
 
 
 class TestPredictedRayDimension:
@@ -102,6 +107,42 @@ class TestVerifyUnitReduction:
             s = sqrt_mod(d % l, l)
             assert _unit_square_at(d, l, s) == _unit_square_at(d, l, l - s)
 
+    def test_unit_census_c(self):
+        """Each p = 1 mod 4 below 1000 against each of the first 20 such
+        primes l != p, then each pair p < q with (p|q) = 1 against the
+        product of those 20 primes prime to pq.  The unit_is_square bits
+        (bit i of the file is row i, little-endian) and the SHA-256 of the
+        concatenated repr of each report's rows were recorded from exact
+        units."""
+        primes = primes_one_mod_four(1000).tolist()
+        moduli = primes[:20]
+        tables = []
+        for p in primes:
+            tables += [verify_unit_reduction((p,), l).rows
+                       for l in moduli if l != p]
+            tables += [verify_unit_reduction(
+                (p, q), prod(l for l in moduli if l not in (p, q))).rows
+                for q in primes if q > p and legendre(p, q) == 1]
+        rows = [row for table in tables for row in table]
+        assert len(rows) == 122376
+        got = int("".join("1" if row[3] else "0" for row in reversed(rows)), 2)
+        diff = got ^ int.from_bytes(CENSUS_C_SQUARES.read_bytes(), "little")
+        assert not diff, rows[(diff & -diff).bit_length() - 1]
+        assert hashlib.sha256("".join(map(repr, tables)).encode()).hexdigest() == (
+            "91facdc63f0e9966009110f2c38f54455fb72bf4f58b338e014381417606b1c8")
+
+    def test_long_period_unit(self):
+        # (1 + sqrt(pq))/2 has a period of 127,533 steps and the exact unit
+        # about 65,700 digits; these rows were recorded from that unit
+        p, q = 999049, 999377
+        assert verify_unit_reduction((p, q), 37 * 61).rows == (
+            (-1, 37, True, True), (-1, 61, True, True),
+            (p, 37, True, False), (p, 61, True, False),
+            (q, 37, True, True), (q, 61, True, False),
+            (p * q, 37, True, False), (p * q, 61, True, True))
+        g, b, q0 = _pqa_unit(p * q, 61)
+        assert 0 <= g < 61 and 0 <= b < 61 and q0 == 2
+
     @pytest.mark.parametrize("c", [5, 13, 17, 29, 65])
     def test_search_output_passes(self, c):
         v = find_ray_class_vector(c, (1,), 10**6)
@@ -134,6 +175,10 @@ class TestRayClassReport:
                             lambda n: calls.append(n) or factorize(n))
         ray_class_report(v, 221)
         assert calls == [221]
+
+    def test_unsupported_dimension_outranks_bad_modulus(self):
+        with pytest.raises(UnsupportedDimensionError):
+            ray_class_report((5, 13, 17, 29), 12)
 
 
 class TestEmitGpScript:
@@ -179,3 +224,11 @@ class TestEmitGpScript:
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedDimensionError):
             emit_gp_script((5, 13, 17, 29))
+
+    def test_factors_the_modulus_once(self, monkeypatch):
+        calls = []
+        factorize = arith.factorize
+        monkeypatch.setattr(arith, "factorize",
+                            lambda n: calls.append(n) or factorize(n))
+        emit_gp_script((5, 29, 109), 221)
+        assert calls == [5, 29, 109, 221]
