@@ -27,21 +27,35 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import numpy as np
 
 from .errors import ArgumentError, SystemFormatError
-from .expansion import subset_masks
 
 _MAX_VIOLATIONS = 1000
+# Tables are int64 and values only ever meet by XOR, so a value below 2**63
+# stays below it: 63 is the largest value dimension a system may carry.
+_MAX_DIM = 63
 
 
 def _mask_iter(mask: int):
     while mask:
         yield (mask & -mask).bit_length() - 1
         mask &= mask - 1
+
+
+def subset_masks(n: int) -> list[int]:
+    """All subset masks of {0..n-1} in (size, lexicographic) order."""
+    out = []
+    for k in range(n + 1):
+        for combo in combinations(range(n), k):
+            m = 0
+            for i in combo:
+                m |= 1 << i
+            out.append(m)
+    return out
 
 
 def _norm_value_dims(d: int, value_dims) -> tuple[int, ...]:
@@ -51,6 +65,8 @@ def _norm_value_dims(d: int, value_dims) -> tuple[int, ...]:
     out = [None] * (1 << d)
     for key, dim in value_dims.items():
         m = key if isinstance(key, int) else sum(1 << i for i in key)
+        if not 0 <= m < len(out):
+            raise ArgumentError(f"value_dims subset mask {m} out of range")
         out[m] = int(dim)
     if any(v is None for v in out):
         missing = [m for m, v in enumerate(out) if v is None]
@@ -216,10 +232,23 @@ def equivalence_structure(sys: AdditiveSystem, x) -> list[list[int]]:
 
 # -------------------------------------------------------------- generators
 
+def _generator_shape(d: int, sizes, value_dims):
+    """(sizes, dims by subset mask) for a generated system, refusing any
+    shape that from_json would refuse in a document."""
+    sizes = tuple(sizes)
+    if d < 0 or len(sizes) != d:
+        raise ArgumentError(f"d = {d} needs d >= 0 and d sizes, got {len(sizes)}")
+    if any(s < 1 for s in sizes):
+        raise ArgumentError(f"every size must be >= 1, got {sizes}")
+    dims = _norm_value_dims(d, value_dims)
+    if any(not 0 <= v <= _MAX_DIM for v in dims):
+        raise ArgumentError(f"every dimension must lie in [0, {_MAX_DIM}]")
+    return sizes, dims
+
+
 def zero_system(d: int, sizes, value_dims=1) -> AdditiveSystem:
     """All F tables zero, all C masks full; the everything-accepted system."""
-    sizes = tuple(sizes)
-    dims = _norm_value_dims(d, value_dims)
+    sizes, dims = _generator_shape(d, sizes, value_dims)
     sys = AdditiveSystem(d, sizes, dims, {}, {})
     for m in range(1 << d):
         sys.F[m] = np.zeros(sys.ambient_shape(m), dtype=np.int64)
@@ -235,8 +264,7 @@ def random_bilinear_system(seed: int, d: int, sizes, value_dims) -> AdditiveSyst
     are additive along paths, so the additivity law holds identically;
     C masks are the closure-derived maxima.
     """
-    sizes = tuple(sizes)
-    dims = _norm_value_dims(d, value_dims)
+    sizes, dims = _generator_shape(d, sizes, value_dims)
     rng = Random(seed)
     m_bits = 2
     labels = [[rng.getrandbits(m_bits) for _ in range(s)] for s in sizes]
@@ -340,7 +368,7 @@ def from_json(text: str) -> AdditiveSystem:
     dims = []
     for m in range(1 << d):
         v = dims_rows[m]
-        if not isinstance(v, int) or v < 0:
+        if not isinstance(v, int) or not 0 <= v <= _MAX_DIM:
             raise _format_error("value_dims", f"bad dimension for mask {m}")
         dims.append(v)
     sys = AdditiveSystem(d, sizes, tuple(dims), {}, {})

@@ -66,7 +66,12 @@ class RunConfig:
 def _config(args) -> RunConfig:
     limit = getattr(args, "limit", None)
     if limit is None:
-        limit = int(os.environ.get("NARROW2_LIMIT", _DEFAULT_LIMIT))
+        text = os.environ.get("NARROW2_LIMIT", str(_DEFAULT_LIMIT))
+        try:
+            limit = int(text)
+        except ValueError:
+            raise ArgumentError(
+                f"NARROW2_LIMIT must be an integer, got {text!r}") from None
     return RunConfig(
         prime_limit=int(limit),
         worker_count=getattr(args, "workers", 1),
@@ -235,20 +240,17 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def cmd_additive_random(args, config: RunConfig) -> str:
-    sizes = _parse_sizes(args.sizes) if args.sizes else ()
-    if len(sizes) != args.d:
-        raise ArgumentError(f"need {args.d} sizes, got {len(sizes)}")
-    dims = args.dims
-    if "," in dims:
-        parts = _parse_sizes(dims)
-        if len(parts) != 1 << args.d:
-            raise ArgumentError(
-                f"need {1 << args.d} dims in (size, lex) subset order")
-        dims_value = dict(enumerate(parts))
+    parts = _parse_sizes(args.dims)
+    masks = additive.subset_masks(args.d)
+    if "," not in args.dims and len(parts) == 1:
+        dims_value = parts[0]
+    elif len(parts) == len(masks):
+        dims_value = dict(zip(masks, parts))
     else:
-        dims_value = int(dims)
-    system = additive.random_bilinear_system(config.seed, args.d, sizes,
-                                             dims_value)
+        raise ArgumentError(
+            f"need {len(masks)} dims in (size, lex) subset order")
+    system = additive.random_bilinear_system(
+        config.seed, args.d, _parse_sizes(args.sizes), dims_value)
     return additive.to_json(system) + "\n"
 
 

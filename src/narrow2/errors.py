@@ -46,9 +46,5 @@ class SystemFormatError(ValueError):
         self.location = location
 
 
-class IncompleteTableError(KeyError):
-    """A cochain table lookup hit a missing entry."""
-
-
 class DegenerateContextError(RuntimeError):
     """Every retry solution degenerated during a symbol evaluation."""

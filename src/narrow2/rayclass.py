@@ -17,11 +17,11 @@ artifact never executes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 
 from .arith import _legendre_unchecked, _pqa_unit, _sqrt_mod_unchecked
 from .errors import UnsupportedDimensionError
-from .expansion import subset_masks
 from .maximality import (
     AcceptableVector,
     MaximalityReport,
@@ -47,7 +47,8 @@ class UnitReductionReport:
     """Per-(d, l) outcome of reducing subfield units modulo the primes of c.
 
     rows hold (d, l, split, unit_is_square) with d = -1 covering the torsion
-    unit; subfield_list are the 2^n - 1 products of nonempty entry subsets.
+    unit; subfield_list are the 2^n - 1 products of nonempty entry subsets,
+    in (size, lexicographic) order of the subsets.
     """
 
     c: int
@@ -72,9 +73,8 @@ def _unit_rows(v: AcceptableVector, c: int,
                moduli: tuple[int, ...]) -> UnitReductionReport:
     """verify_unit_reduction for the checked primes of c; trusts that each
     is a prime 1 mod 4 and every subfield d a squarefree product."""
-    subfields = tuple(
-        prod(v.entries[i] for i in range(v.n) if mask >> i & 1)
-        for mask in subset_masks(v.n) if mask)
+    subfields = tuple(prod(combo) for k in range(1, v.n + 1)
+                      for combo in combinations(v.entries, k))
     rows = []
     for d in (-1,) + subfields:
         for l in moduli:

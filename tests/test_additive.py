@@ -14,12 +14,42 @@ from narrow2.additive import (
     equivalence_structure,
     from_json,
     random_bilinear_system,
+    subset_masks,
     to_json,
     validate,
     verify_shrinking,
     zero_system,
 )
 from narrow2.errors import ArgumentError, SystemFormatError
+
+
+def test_subset_masks_size_lex_order():
+    assert subset_masks(3) == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
+    assert subset_masks(0) == [0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda d, sizes, dims: zero_system(d, sizes, dims),
+    lambda d, sizes, dims: random_bilinear_system(0, d, sizes, dims),
+], ids=["zero", "random"])
+@pytest.mark.parametrize("d,sizes,dims", [
+    (2, (3,), 1),
+    (-1, (), 1),
+    (1, (0,), 1),            # from_json refuses an empty ground set
+    (1, (3,), -1),
+    (1, (3,), 64),           # int64 tables hold at most 63 bits
+    (1, (3,), {0: 1, 1: 64}),
+    (1, (3,), {0: 1, 5: 1}),
+], ids=["too-few-sizes", "negative-d", "empty-ground-set", "negative-dim",
+        "dim-64", "dim-64-by-subset", "mask-out-of-range"])
+def test_generators_refuse_bad_shapes(make, d, sizes, dims):
+    with pytest.raises(ArgumentError):
+        make(d, sizes, dims)
+
+
+def test_generators_accept_largest_dimension():
+    sys = random_bilinear_system(0, 1, (2,), 63)
+    assert from_json(to_json(sys)).value_dims == (63, 63)
 
 
 def test_zero_system_validates():
@@ -235,6 +265,9 @@ def test_json_subset_order_is_size_then_lex():
     (lambda d: d.replace('"ground_sets":[[0,1]', '"ground_sets":[[0,2]'),
      "ground_sets[0]"),
     (lambda d: d.replace('"dim":1', '"dim":-1', 1), "value_dims"),
+    pytest.param(lambda d: d.replace('"dim":1', '"dim":64', 1)
+                 .replace('"values":[0,', f'"values":[{2**63},', 1),
+                 "value_dims", id="dim-above-int64"),
     (lambda d: d.replace('"c_empty":"full"', '"c_empty":"half"'), "c_empty"),
 ])
 def test_json_malformed_inputs(mangle, loc):

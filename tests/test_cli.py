@@ -172,6 +172,12 @@ class TestSearchSpace:
         assert code == 0
         assert json.loads(out)["limit"] == 100
 
+    def test_bad_env_var_limit_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("NARROW2_LIMIT", "abc")
+        code, out, err = run(capsys, "search", "space", "--m", "1", "--n", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "NARROW2_LIMIT" in err
+
 
 class TestSearchTriples:
     def test_unit_profile(self, capsys):
@@ -244,10 +250,28 @@ class TestAdditiveCommands:
         system = additive.from_json(out.strip())
         assert system.value_dims == (0, 2)
 
+    def test_random_dims_list_in_subset_order(self, capsys):
+        _, out, _ = run(capsys, "additive", "random", "--d", "3",
+                        "--sizes", "1,1,1", "--dims", "0,1,2,3,4,5,6,7")
+        assert additive.from_json(out.strip()).value_dims == (0, 1, 2, 4, 3, 5, 6, 7)
+        assert [row["dim"] for row in json.loads(out)["value_dims"]] == list(range(8))
+
     def test_sizes_arity_checked(self, capsys):
         code, _, _ = run(capsys, "additive", "random", "--seed", "1",
                          "--d", "2", "--sizes", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("sizes,dims", [
+        ("3", "abc"),   # single dimension that is not an integer
+        ("3", ""),
+        ("0", "1"),     # empty ground set: validate would refuse the output
+        ("3", "64"),    # above the int64 bound of the value tables
+    ])
+    def test_random_bad_shape_exit_2(self, capsys, sizes, dims):
+        code, out, err = run(capsys, "additive", "random", "--d", "1",
+                             "--sizes", sizes, "--dims", dims)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
     def test_validate_valid_system(self, capsys, tmp_path):
         path = tmp_path / "sys.json"
@@ -280,6 +304,16 @@ class TestAdditiveCommands:
         code, _, err = run(capsys, "additive", "validate", "--in", str(path))
         assert code == EXIT_CODES["format"] == 5
         assert "malformed" in err
+
+    def test_oversized_dimension_exit_5(self, capsys, tmp_path):
+        doc = {"c_empty": "full", "d": 0, "f_tables": [
+            {"subset": [], "values": [2**63]}], "ground_sets": [],
+            "value_dims": [{"dim": 64, "subset": []}]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "additive", "validate", "--in", str(path))
+        assert code == 5
+        assert err.startswith("error: malformed system: value_dims")
 
     def test_missing_file_exit_5(self, capsys, tmp_path):
         code, _, _ = run(capsys, "additive", "validate", "--in",

@@ -1,0 +1,27 @@
+"""The public export list of the package."""
+
+import importlib
+
+import pytest
+
+import narrow2
+
+REMOVED = ("AlgebraElement", "CochainTable", "GroupElement",
+           "IncompleteTableError", "central_element", "check_cochain_recursion",
+           "project_characters", "vector_character")
+
+
+def test_export_list_sorted_and_unique():
+    assert narrow2.__all__ == sorted(set(narrow2.__all__))
+
+
+def test_every_export_resolves():
+    missing = [name for name in narrow2.__all__ if not hasattr(narrow2, name)]
+    assert not missing
+
+
+def test_expansion_layer_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("narrow2.expansion")
+    assert [name for name in REMOVED if hasattr(narrow2, name)] == []
+    assert not hasattr(narrow2.errors, "IncompleteTableError")

@@ -4,9 +4,12 @@ Context rows (solution, half, sign, totally_real) were verified by hand
 against the 2-adic normalization conditions before implementation.
 """
 
+import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, permutations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from narrow2.arith import legendre, primes_one_mod_four
@@ -17,6 +20,7 @@ from narrow2.errors import (
 )
 from narrow2.maximality import is_strongly_quadratically_consistent, parse_acceptable
 from narrow2.redei import (
+    _symbol,
     acceptable_prime_factors,
     context_stream,
     emit_quartic,
@@ -25,6 +29,8 @@ from narrow2.redei import (
     redei_symbol,
     symbol_from_context,
 )
+
+CENSUS_A_BITS = Path(__file__).parent / "data" / "redei_census_a.bin"
 
 FROZEN_CONTEXTS = [
     # a, b, x, y, z, half, sign, totally_real
@@ -221,3 +227,22 @@ def test_emit_quartic():
     for a, b in _consistent_prime_samples(rng, pool, 2, 8):
         q = emit_quartic(a, b)
         assert q[0] == 1 and all(isinstance(t, int) for t in q)
+
+
+def test_symbol_census_a():
+    """Every triple of primes 1 mod 4 below 2000 with all three cross
+    Legendre symbols +1, in combinations order; the symbol bits were
+    recorded with np.packbits and the SHA-256 of bytes(bits)."""
+    primes = primes_one_mod_four(2000).tolist()
+    square = {(p, q) for p, q in combinations(primes, 2) if legendre(p, q) == 1}
+    triples = [(a, b, c) for a, b, c in combinations(primes, 3)
+               if (a, b) in square and (a, c) in square and (b, c) in square]
+    assert len(triples) == 61194
+    bits = np.array([_symbol(a, b, (c,)) for a, b, c in triples], dtype=np.uint8)
+    want = np.unpackbits(np.frombuffer(CENSUS_A_BITS.read_bytes(), dtype=np.uint8),
+                         count=len(triples))
+    differ = np.flatnonzero(bits != want)
+    assert not differ.size, triples[differ[0]]
+    assert len(bits) - int(bits.sum()) == 29950
+    assert hashlib.sha256(bits.tobytes()).hexdigest() == (
+        "e11dbf519b5a5f532c31b5a1125342006c67a0a45358521f59e5046cfd0e5dd2")
