@@ -64,7 +64,8 @@ class RunConfig:
 
 
 def _config(args) -> RunConfig:
-    limit = getattr(args, "limit", None)
+    # only the search commands take --limit, so only they read NARROW2_LIMIT
+    limit = getattr(args, "limit", _DEFAULT_LIMIT)
     if limit is None:
         text = os.environ.get("NARROW2_LIMIT", str(_DEFAULT_LIMIT))
         try:

@@ -47,4 +47,6 @@ class SystemFormatError(ValueError):
 
 
 class DegenerateContextError(RuntimeError):
-    """Every retry solution degenerated during a symbol evaluation."""
+    """No longer raised: every primitive solution gives a normalized
+    generator and no odd prime kills both of its embeddings (see
+    narrow2.redei).  Still exported for callers that import and catch it."""

@@ -8,13 +8,27 @@ that extension splits at p, via the Legendre symbol of gamma's image under
 an embedding sqrt(a) -> sqrt_mod(a, p).
 
 For the sum to obey reciprocity the extension must be unramified everywhere,
-which in this setting is a condition only at 2: sigma * gamma for one of the
-signs sigma must be congruent to a square modulo 4 at every 2-adic place of
-Q(sqrt(a)).  Twisting by a norm-one unit never helps: at split places the
-two unit residues multiply to the norm b*z^2 which is 1 mod 4, and at inert
-places integral norm-one units are already +-squares mod 4, so sign plus a
-deterministic stream of primitive solutions exhausts the candidates.  Any
-normalized candidate yields the same symbol, which the test suite checks
+which in this setting is a condition only at 2: sigma*gamma must be
+congruent to a square modulo 4 at every 2-adic place of Q(sqrt(a)), for a
+sign sigma.  Every primitive solution passes for exactly one sign, which
+RedeiContext.sign gives in closed form.  Every prime is 1 mod 4, so
+a = b = 1 mod 4, x is odd and exactly one of y, z is odd.
+
+- y even (h = 0): gamma is a 2-adic unit congruent to x - y mod 4 at every
+  2-adic place (for a = 5 mod 8 write sqrt(a) = 2*theta - 1), so
+  sigma = x - y mod 4.
+- y odd, a = 1 mod 8: 8 | b*z^2, so one embedding x + y*s has valuation 1
+  and is 2x mod 8, and the odd parts of the two embeddings multiply to
+  b*(odd)^2 = 1 mod 4, so sigma = x mod 4.
+- y odd, a = 5 mod 8: z = 2 mod 4 and gamma is a unit of Z2[theta] of norm
+  b*(z/2)^2 = 1 mod 4; those units are exactly the unit squares mod 4 up to
+  sign, and sigma = -x mod 4.
+
+-1 is never a unit square mod 4, so the other sign always fails.  No
+summand degenerates either: both embeddings vanish mod an odd p only if
+p | x and p | y, and then p | z since b is squarefree, against
+primitivity.  So each pair takes the context of its first solution; any
+other solution yields the same symbol, which the test suite checks
 empirically.
 
 The public functions (redei_symbol, redei_context, context_stream,
@@ -33,19 +47,10 @@ from .arith import (
     TernarySolution,
     _legendre_unchecked,
     sqrt_mod,
-    sqrt_two_adic,
     squarefree_part,
     ternary_solutions,
 )
-from .errors import (
-    AcceptabilityError,
-    ArgumentError,
-    ConsistencyError,
-    DegenerateContextError,
-)
-
-_MAX_BASE_SOLUTIONS = 40
-_MAX_RETRIES = 8
+from .errors import AcceptabilityError, ArgumentError, ConsistencyError
 
 
 # ------------------------------------------------------------ preconditions
@@ -94,64 +99,6 @@ def _check_consistent(entries: list[int], parts) -> None:
             witnesses=witnesses)
 
 
-# ------------------------------------------------------- 2-adic square test
-
-@lru_cache(maxsize=8)
-def _unit_squares_mod4(m4: int) -> frozenset[tuple[int, int]]:
-    """Coordinates mod 4 (basis 1, theta with theta^2 = theta + m) of squares
-    of units of Z2[theta]."""
-    out = set()
-    for c0 in range(4):
-        for c1 in range(4):
-            if c0 % 2 == 0 and c1 % 2 == 0:
-                continue
-            out.add(((c0 * c0 + c1 * c1 * m4) % 4, (2 * c0 * c1 + c1 * c1) % 4))
-    return frozenset(out)
-
-
-def _v2(n: int) -> int:
-    return (n & -n).bit_length() - 1
-
-
-def _is_normalized(a: int, gx: int, gy: int, half: bool, sigma: int,
-                   norm2: int) -> bool:
-    """True if sigma*(gx + gy*sqrt(a))/2^half is a square times a unit
-    congruent to a square mod 4 at every 2-adic place of Q(sqrt(a)).
-
-    norm2 is the 2-adic valuation of gx^2 - a*gy^2.
-    """
-    h = 1 if half else 0
-    if a % 8 == 1:
-        # 2 splits: test both embeddings sqrt(a) -> +-s in Z2
-        prec = norm2 + 6
-        s = sqrt_two_adic(a, prec)
-        mod = 1 << prec
-        for e in (s, mod - s):
-            t = (gx + gy * e) % mod
-            v = _v2(t)
-            if (v - h) % 2:
-                return False
-            u = (t >> v) % 4
-            if u != (1 if sigma == 1 else 3):
-                return False
-        return True
-    # 2 inert: O = Z2[theta], theta^2 = theta + m, sqrt(a) = 2*theta - 1
-    m = (a - 1) // 4
-    if half:
-        c0, c1 = (gx - gy) // 2, gy
-    else:
-        c0, c1 = gx - gy, 2 * gy
-    v = (norm2 - 2 * h) // 2  # valuation of gamma in the inert extension
-    if v % 2:
-        return False
-    if c0 % (1 << v) or c1 % (1 << v):
-        return False
-    u0, u1 = (c0 >> v) % 4, (c1 >> v) % 4
-    if sigma == -1:
-        u0, u1 = (-u0) % 4, (-u1) % 4
-    return (u0, u1) in _unit_squares_mod4(m % 4)
-
-
 # ----------------------------------------------------------------- context
 
 @dataclass(frozen=True)
@@ -160,100 +107,102 @@ class RedeiContext:
 
     sign*(x + y*sqrt(a))/2^half is the normalized generator for the stored
     primitive solution (x, y, z); quartic is the minimal polynomial data
-    X^4 - 2xX^2 + b*z^2 of sqrt(x + y*sqrt(a)).
+    X^4 - 2xX^2 + b*z^2 of sqrt(x + y*sqrt(a)).  half, sign, totally_real
+    and quartic are derived from the solution.
     """
 
     a: int
     b: int
     solution: TernarySolution
-    half: bool
-    sign: int
-    totally_real: bool
-    quartic: tuple[int, int, int, int, int]
 
     def __post_init__(self):
-        s = self.solution
-        # y != 0 keeps the quartic discriminant nonzero
-        if (self.quartic != (1, 0, -2 * s.x, 0, self.b * s.z * s.z)
-                or s.x * s.x - self.a * s.y * s.y != self.b * s.z * s.z
-                or s.y == 0):
+        if (self.solution.a, self.solution.b) != (self.a, self.b):
             raise ConsistencyError(
-                f"context for ({self.a}, {self.b}) does not match its solution")
+                f"context for ({self.a}, {self.b}) holds a solution for "
+                f"({self.solution.a}, {self.solution.b})")
 
+    @property
+    def half(self) -> bool:
+        return self.solution.y % 2 == 1
 
-def _contexts(a: int, b: int):
-    """Normalized contexts from successive base solutions, deterministically.
+    @property
+    def sign(self) -> int:
+        """The one sign that normalizes the generator; the module docstring
+        derives its three cases."""
+        x, y = self.solution.x, self.solution.y
+        r = x - y if y % 2 == 0 else x if self.a % 8 == 1 else -x
+        return 1 if r % 4 == 1 else -1
 
-    Per solution the candidates are sign +1 then -1; at most one sign can
-    pass (the two square-class cosets mod 4 are disjoint), and solutions
-    where neither passes are skipped.
-    """
-    produced = 0
-    for sol in islice(ternary_solutions(a, b, checked=False), _MAX_BASE_SOLUTIONS):
-        x, y, z = sol.x, sol.y, sol.z
-        if x % 2 == 0:  # primitivity forces x odd here
-            raise ConsistencyError(f"even x in the solution {(x, y, z)} for ({a}, {b})")
-        norm2 = _v2(b * z * z)
-        half = y % 2 == 1
-        for sigma in (1, -1):
-            if _is_normalized(a, x, y, half, sigma, norm2):
-                produced += 1
-                yield RedeiContext(
-                    a=a, b=b, solution=sol, half=half, sign=sigma,
-                    totally_real=sigma > 0,
-                    quartic=(1, 0, -2 * x, 0, b * z * z))
-                break
-    if not produced:
-        raise DegenerateContextError(
-            f"no normalized generator found for ({a}, {b})")
+    @property
+    def totally_real(self) -> bool:
+        return self.sign > 0
+
+    @property
+    def quartic(self) -> tuple[int, int, int, int, int]:
+        s = self.solution
+        return (1, 0, -2 * s.x, 0, self.b * s.z * s.z)
 
 
 @lru_cache(maxsize=4096)
-def _context_cache(a: int, b: int, want: int) -> tuple[RedeiContext, ...]:
-    return tuple(islice(_contexts(a, b), want))
+def _context_cache(a: int, b: int) -> RedeiContext:
+    """The context of the first solution in the stream of (a, b)."""
+    sol = next(ternary_solutions(a, b, checked=False), None)
+    if sol is None:
+        raise ConsistencyError(f"the solution stream for ({a}, {b}) is empty")
+    return RedeiContext(a, b, sol)
+
+
+def _check_pair(a: int, b: int) -> None:
+    pa = acceptable_prime_factors(a)
+    pb = acceptable_prime_factors(b)
+    _check_consistent([a, b], [pa, pb])
 
 
 def redei_context(a: int, b: int) -> RedeiContext:
-    """Normalized context for the pair (a, b).
+    """Normalized context for the pair (a, b), from its first solution.
 
     Preconditions: a, b >= 2, squarefree, coprime, all prime factors 1 mod 4,
     and each a square modulo every prime factor of the other.
     """
-    return context_stream(a, b, 1)[0]
+    _check_pair(a, b)
+    return _context_cache(a, b)
 
 
 def context_stream(a: int, b: int, want: int) -> tuple[RedeiContext, ...]:
-    """Up to `want` contexts built from distinct base solutions (fewer only
-    if the solution scan limit is reached)."""
-    pa = acceptable_prime_factors(a)
-    pb = acceptable_prime_factors(b)
-    _check_consistent([a, b], [pa, pb])
-    return _context_cache(a, b, want)
+    """Contexts of the first `want` solutions of (a, b), in stream order
+    (fewer only if the grid stream ends first)."""
+    _check_pair(a, b)
+    sols = islice(ternary_solutions(a, b, checked=False), want)
+    return tuple(RedeiContext(a, b, sol) for sol in sols)
 
 
 # ------------------------------------------------------------------ symbol
 
 def _frobenius_summand(ctx: RedeiContext, p: int) -> int:
-    """0 if the context's extension splits at p, 1 if it is inert; raises
-    DegenerateContextError when both embeddings vanish mod p."""
+    """0 if the context's extension splits at p, 1 if it is inert."""
     s = sqrt_mod(ctx.a, p)
     gx, gy = ctx.solution.x, ctx.solution.y
     w = (gx + gy * s) % p
     if w == 0:
         w = (gx - gy * s) % p
-    if w == 0:
-        raise DegenerateContextError(f"both embeddings vanish at {p}")
+    if w == 0:  # p | x and p | y would give p | z: not primitive
+        raise ConsistencyError(
+            f"both embeddings of {(gx, gy)} vanish at {p} for ({ctx.a}, {ctx.b})")
     if ctx.half:
         w = w * ((p + 1) // 2) % p
     return (1 - _legendre_unchecked(w, p)) // 2
 
 
-def symbol_from_context(ctx: RedeiContext, c: int) -> int:
-    """Frobenius sum over the prime factors of c for a fixed context."""
+def _frobenius_sum(ctx: RedeiContext, pc: tuple[int, ...]) -> int:
     total = 0
-    for p in acceptable_prime_factors(c, allow_one=True):
+    for p in pc:
         total ^= _frobenius_summand(ctx, p)
     return total
+
+
+def symbol_from_context(ctx: RedeiContext, c: int) -> int:
+    """Frobenius sum over the prime factors of c for a fixed context."""
+    return _frobenius_sum(ctx, acceptable_prime_factors(c, allow_one=True))
 
 
 def redei_symbol(a: int, b: int, c: int) -> int:
@@ -275,25 +224,9 @@ def redei_symbol(a: int, b: int, c: int) -> int:
 
 
 def _symbol(a: int, b: int, pc: tuple[int, ...]) -> int:
-    """[a, b, c] for the prime tuple pc of c, retrying degenerate primes with
-    further contexts.  Trusts a, b >= 2 and (a, b, c) consistent."""
-    total = 0
-    for p in pc:
-        try:
-            total ^= _frobenius_summand(_context_cache(a, b, 1)[0], p)
-            continue
-        except DegenerateContextError:
-            pass
-        for ctx in _context_cache(a, b, _MAX_RETRIES)[1:]:
-            try:
-                total ^= _frobenius_summand(ctx, p)
-                break
-            except DegenerateContextError:
-                continue
-        else:
-            raise DegenerateContextError(
-                f"all retried contexts for ({a}, {b}) degenerate at {p}")
-    return total
+    """[a, b, c] for the prime tuple pc of c.  Trusts a, b >= 2 and
+    (a, b, c) consistent."""
+    return _frobenius_sum(_context_cache(a, b), pc)
 
 
 def reciprocity_check(a1: int, a2: int, a3: int) -> bool:

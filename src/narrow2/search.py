@@ -188,7 +188,7 @@ def enumerate_maximal_vectors(profile, pool: int, limit: int, *,
 
 
 def _tau(a: int, l: int) -> bool:
-    return _context_cache(a, l, 1)[0].totally_real
+    return _context_cache(a, l).totally_real
 
 
 def find_ray_class_vector(c: int, profile, limit: int, *,

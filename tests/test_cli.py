@@ -38,6 +38,18 @@ class TestRunConfig:
         with pytest.raises(ArgumentError):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", ["abc", "2"])
+    def test_env_var_limit_ignored_without_limit_flag(self, capsys, monkeypatch,
+                                                      value):
+        commands = [("symbol", "legendre", "13", "17"),
+                    ("symbol", "redei", "5", "29", "109", "--verbose"),
+                    ("maximal", "5", "29", "109")]
+        monkeypatch.delenv("NARROW2_LIMIT", raising=False)
+        usual = [run(capsys, *argv) for argv in commands]
+        monkeypatch.setenv("NARROW2_LIMIT", value)
+        assert [run(capsys, *argv) for argv in commands] == usual
+        assert all(code == 0 and out and err == "" for code, out, err in usual)
+
 
 class TestSymbol:
     def test_legendre(self, capsys):

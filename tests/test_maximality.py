@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from narrow2 import arith, redei
+from narrow2 import arith, maximality, redei
 from narrow2.errors import (
     AcceptabilityError,
     ArgumentError,
@@ -170,6 +170,29 @@ def test_maximal_trusts_parsed_factorizations(monkeypatch):
     redei._context_cache.cache_clear()
     assert is_maximal(v).verdict
     assert calls == []
+
+
+def test_maximal_takes_one_solution_per_pair(monkeypatch):
+    v = parse_acceptable((65, 1769, 30030601))  # profile (2, 2, 2)
+    pairs, advanced = set(), []
+    symbol, stream = maximality._symbol, redei.ternary_solutions
+
+    def counted_symbol(a, b, pc):
+        pairs.add((a, b))
+        return symbol(a, b, pc)
+
+    def counted_stream(a, b, checked=True):
+        for sol in stream(a, b, checked):
+            advanced.append((a, b))
+            yield sol
+
+    monkeypatch.setattr(maximality, "_symbol", counted_symbol)
+    monkeypatch.setattr(redei, "ternary_solutions", counted_stream)
+    redei._context_cache.cache_clear()
+    assert is_maximal(v).verdict
+    assert len(pairs) == 12
+    assert redei._context_cache.cache_info().misses == len(pairs)
+    assert sorted(advanced) == sorted(pairs)
 
 
 def test_maximality_dimension_errors():

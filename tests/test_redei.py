@@ -6,13 +6,14 @@ against the 2-adic normalization conditions before implementation.
 
 import hashlib
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from narrow2.arith import legendre, primes_one_mod_four
+from narrow2.arith import legendre, primes_one_mod_four, sqrt_mod, sqrt_two_adic
 from narrow2.errors import (
     AcceptabilityError,
     ArgumentError,
@@ -20,6 +21,7 @@ from narrow2.errors import (
 )
 from narrow2.maximality import is_strongly_quadratically_consistent, parse_acceptable
 from narrow2.redei import (
+    RedeiContext,
     _symbol,
     acceptable_prime_factors,
     context_stream,
@@ -31,6 +33,7 @@ from narrow2.redei import (
 )
 
 CENSUS_A_BITS = Path(__file__).parent / "data" / "redei_census_a.bin"
+CENSUS_B_ROWS = Path(__file__).parent / "data" / "redei_census_b.txt"
 
 FROZEN_CONTEXTS = [
     # a, b, x, y, z, half, sign, totally_real
@@ -81,6 +84,11 @@ def test_context_quartic_identity():
     assert q * (p * p - 4 * q) != 0
 
 
+def test_context_rejects_a_solution_of_another_pair():
+    with pytest.raises(ConsistencyError):
+        RedeiContext(13, 17, redei_context(17, 13).solution)
+
+
 def test_context_rejects_bad_pairs():
     with pytest.raises(AcceptabilityError):
         redei_context(5, 11)  # 11 = 3 mod 4
@@ -109,6 +117,107 @@ def test_totally_real_is_pair_invariant():
         assert len(taus) == 1
 
 
+# Reference 2-adic search for the sign, the implementation that the closed
+# form in RedeiContext.sign replaced; kept verbatim as the test oracle.
+
+@lru_cache(maxsize=8)
+def _unit_squares_mod4(m4: int) -> frozenset[tuple[int, int]]:
+    """Coordinates mod 4 (basis 1, theta with theta^2 = theta + m) of squares
+    of units of Z2[theta]."""
+    out = set()
+    for c0 in range(4):
+        for c1 in range(4):
+            if c0 % 2 == 0 and c1 % 2 == 0:
+                continue
+            out.add(((c0 * c0 + c1 * c1 * m4) % 4, (2 * c0 * c1 + c1 * c1) % 4))
+    return frozenset(out)
+
+
+def _v2(n: int) -> int:
+    return (n & -n).bit_length() - 1
+
+
+def _is_normalized(a: int, gx: int, gy: int, half: bool, sigma: int,
+                   norm2: int) -> bool:
+    """True if sigma*(gx + gy*sqrt(a))/2^half is a square times a unit
+    congruent to a square mod 4 at every 2-adic place of Q(sqrt(a)).
+
+    norm2 is the 2-adic valuation of gx^2 - a*gy^2.
+    """
+    h = 1 if half else 0
+    if a % 8 == 1:
+        # 2 splits: test both embeddings sqrt(a) -> +-s in Z2
+        prec = norm2 + 6
+        s = sqrt_two_adic(a, prec)
+        mod = 1 << prec
+        for e in (s, mod - s):
+            t = (gx + gy * e) % mod
+            v = _v2(t)
+            if (v - h) % 2:
+                return False
+            u = (t >> v) % 4
+            if u != (1 if sigma == 1 else 3):
+                return False
+        return True
+    # 2 inert: O = Z2[theta], theta^2 = theta + m, sqrt(a) = 2*theta - 1
+    m = (a - 1) // 4
+    if half:
+        c0, c1 = (gx - gy) // 2, gy
+    else:
+        c0, c1 = gx - gy, 2 * gy
+    v = (norm2 - 2 * h) // 2  # valuation of gamma in the inert extension
+    if v % 2:
+        return False
+    if c0 % (1 << v) or c1 % (1 << v):
+        return False
+    u0, u1 = (c0 >> v) % 4, (c1 >> v) % 4
+    if sigma == -1:
+        u0, u1 = (-u0) % 4, (-u1) % 4
+    return (u0, u1) in _unit_squares_mod4(m % 4)
+
+
+def _assert_sign_is_the_only_normalizer(ctx):
+    a, b, s = ctx.a, ctx.b, ctx.solution
+    half = s.y % 2 == 1
+    norm2 = _v2(b * s.z * s.z)
+    passing = [sigma for sigma in (1, -1)
+               if _is_normalized(a, s.x, s.y, half, sigma, norm2)]
+    assert ctx.half == half and passing == [ctx.sign], (a, b, s)
+    assert ctx.totally_real == (ctx.sign > 0)
+    return half, a % 8
+
+
+def test_sign_matches_two_adic_search():
+    """The closed-form sign is the one sign the 2-adic search accepts: on
+    the first solution of every ordered consistent pair of primes below
+    2000, on the frozen descent contexts, and on the first three solutions
+    of 100 seeded pairs of two-prime entries."""
+    primes = primes_one_mod_four(2000).tolist()
+    cases = set()
+    pairs = 0
+    for a, b in permutations(primes, 2):
+        if legendre(a, b) == 1:
+            cases.add(_assert_sign_is_the_only_normalizer(redei_context(a, b)))
+            pairs += 1
+    assert pairs == 10558
+    # all three cases of the closed form, with a = 1 and 5 mod 8 for y even
+    assert cases == {(False, 1), (False, 5), (True, 1), (True, 5)}
+    for ctx in context_stream(8933369, 11780737, 3):
+        _assert_sign_is_the_only_normalizer(ctx)
+    rng = random.Random(71)
+    pool = primes[:60]
+    done = 0
+    while done < 100:
+        p, q, r, t = rng.sample(pool, 4)
+        if not all(legendre(u, v) == 1 for u in (p, q) for v in (r, t)):
+            continue
+        ctxs = context_stream(p * q, r * t, 3)
+        assert len(ctxs) == 3
+        for ctx in ctxs:
+            _assert_sign_is_the_only_normalizer(ctx)
+        done += 1
+
+
 # ---------------------------------------------------------------- symbols
 
 def test_symbol_frozen_values():
@@ -125,10 +234,18 @@ def test_symbol_degenerate_entries():
 
 
 def test_symbol_retry_when_prime_divides_z():
-    # first context for (89, 461) has solution (109, 2, 5); evaluating at 5
-    # forces the internal retry with a later solution
+    # 5 | z in the first solutions of (89, 461) and (61, 149).  For (89, 461)
+    # the solution is (109, 2, 5) and its first embedding 109 + 2*2 is 3 mod
+    # 5, so that embedding serves.  For (61, 149) it is (63, 2, 5), whose
+    # first embedding 63 + 2*1 vanishes mod 5, so the summand takes the
+    # conjugate embedding, which is 2x mod 5.
     c = redei_context(89, 461)
     assert c.solution.z == 5
+    assert (c.solution.x + c.solution.y * sqrt_mod(89, 5)) % 5 == 3
+    s = redei_context(61, 149).solution
+    assert (s.x, s.y, s.z) == (63, 2, 5)
+    assert (s.x + s.y * sqrt_mod(61, 5)) % 5 == 0
+    assert (s.x - s.y * sqrt_mod(61, 5)) % 5 == 2 * s.x % 5
     assert redei_symbol(89, 461, 5) == 1
     assert redei_symbol(89, 5, 461) == 1
     assert redei_symbol(61, 149, 5) == redei_symbol(61, 5, 149) == 0
@@ -246,3 +363,17 @@ def test_symbol_census_a():
     assert len(bits) - int(bits.sum()) == 29950
     assert hashlib.sha256(bits.tobytes()).hexdigest() == (
         "e11dbf519b5a5f532c31b5a1125342006c67a0a45358521f59e5046cfd0e5dd2")
+
+
+def test_symbol_census_b():
+    """Census B, the descent regime: 100 triples of distinct primes 1 mod 4
+    in [1e7, 1e8] with all three cross Legendre symbols +1, drawn with
+    random.Random(2020) (each prime from randrange(10**7, 10**8) | 1 until
+    it is 1 mod 4 and prime), one `a b c bit` line each.  The bits were
+    recorded while the sign still came from the 2-adic search."""
+    rows = [tuple(map(int, line.split()))
+            for line in CENSUS_B_ROWS.read_text().splitlines()]
+    assert len(rows) == 100
+    for a, b, c, bit in rows:
+        assert _symbol(a, b, (c,)) == bit, (a, b, c)
+    assert sum(bit for *_, bit in rows) == 44
