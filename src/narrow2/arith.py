@@ -188,24 +188,6 @@ def squarefree_part(n: int) -> tuple[int, ...]:
     return tuple(f)
 
 
-def sqrt_two_adic(a: int, prec: int) -> int:
-    """Square root of a in Z_2 to precision 2**prec, for a = 1 mod 8.
-
-    Bit-by-bit Hensel lift; returns the root congruent to 1 mod 4 (the other
-    root is its negative mod 2**prec).
-    """
-    if a % 8 != 1:
-        raise ArgumentError(f"sqrt_two_adic: {a} is not 1 mod 8")
-    if prec < 3:
-        raise ArgumentError("sqrt_two_adic: need prec >= 3")
-    s = 1
-    for k in range(3, prec):
-        if (s * s - a) % (1 << (k + 1)):
-            s += 1 << (k - 1)
-    s %= 1 << prec
-    return s if s % 4 == 1 else (1 << prec) - s
-
-
 def primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (sieve of Eratosthenes)."""
     if limit < 2:
@@ -242,20 +224,6 @@ class TernarySolution:
                 f"x^2 = {self.a}*y^2 + {self.b}*z^2 with x > 0, z != 0")
 
 
-def _check_ternary_inputs(a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if a < 2 or b < 2:
-        raise ArgumentError(f"solve_ternary: coefficients ({a}, {b}) must be >= 2")
-    if gcd(a, b) != 1:
-        raise ArgumentError(f"solve_ternary: coefficients ({a}, {b}) share a factor")
-    pa, pb = squarefree_part(a), squarefree_part(b)
-    bad = [(p, q) for p in pa for q in pb
-           if _legendre_unchecked(b, p) != 1 or _legendre_unchecked(a, q) != 1]
-    if bad:
-        raise ConsistencyError(
-            f"solve_ternary: ({a}, {b}) fails local solvability", witnesses=bad)
-    return pa, pb
-
-
 def _reduce_primitive(a: int, b: int, x: int, y: int, z: int) -> TernarySolution:
     g = gcd(gcd(x, y), z)
     x, y, z = abs(x) // g, abs(y) // g, abs(z) // g
@@ -283,25 +251,8 @@ def _ternary_grid_rows(a: int, b: int, z_lo: int, z_hi: int):
         yield int(r[zi, yi]), int(yi), int(z_lo + zi)
 
 
-def ternary_solutions(a: int, b: int, checked: bool = True):
-    """Yield distinct primitive solutions of x^2 = a*y^2 + b*z^2, x > 0, y >= 0,
-    z > 0, in a deterministic order.
-
-    Grid regime, when the Holzer box (isqrt(a) + 1) * (isqrt(b) + 1) has at most
-    4M cells: every 0 <= y <= isqrt(b) is scanned for z = 1, 2, ... in chunks of
-    rows that start at one row and double up to about 4M cells, so solutions
-    come ascending in (z, y).  Holzer's theorem puts the first one at
-    z <= sqrt(a).  The stream ends before b*z^2 + a*y^2 could reach 2**53,
-    past which the float64 scan is no longer exact.
-
-    Descent regime, otherwise: sympy's Lagrange descent solution first, then
-    the second intersections of the conic with the lines through it in
-    integer directions (u, v, w), taken in growing max-norm shells and
-    skipping repeats.  The equation involves only squares, so coordinates
-    are taken nonnegative.  This stream does not end.
-    """
-    if checked:
-        _check_ternary_inputs(a, b)
+def _ternary_stream(a: int, b: int):
+    """ternary_solutions for a caller that guarantees its preconditions."""
     ylim = isqrt(b) + 1
     if (isqrt(a) + 1) * ylim <= _GRID_CELLS:
         cap = _GRID_CELLS // ylim
@@ -345,13 +296,41 @@ def ternary_solutions(a: int, b: int, checked: bool = True):
                     yield TernarySolution(a, b, x, y, z)
 
 
-def solve_ternary(a: int, b: int) -> TernarySolution:
-    """First primitive solution of x^2 = a*y^2 + b*z^2: the first element of
-    ternary_solutions(a, b).
+def ternary_solutions(a: int, b: int):
+    """Distinct primitive solutions of x^2 = a*y^2 + b*z^2, x > 0, y >= 0,
+    z > 0, in a deterministic order.
 
-    Preconditions: a, b squarefree, coprime, both >= 2, and each coefficient
-    a square modulo every prime of the other.
+    Grid regime, when the Holzer box (isqrt(a) + 1) * (isqrt(b) + 1) has at most
+    4M cells: every 0 <= y <= isqrt(b) is scanned for z = 1, 2, ... in chunks of
+    rows that start at one row and double up to about 4M cells, so solutions
+    come ascending in (z, y).  Holzer's theorem puts the first one at
+    z <= sqrt(a).  The stream ends before b*z^2 + a*y^2 could reach 2**53,
+    past which the float64 scan is no longer exact.
+
+    Descent regime, otherwise: sympy's Lagrange descent solution first, then
+    the second intersections of the conic with the lines through it in
+    integer directions (u, v, w), taken in growing max-norm shells and
+    skipping repeats.  The equation involves only squares, so coordinates
+    are taken nonnegative.  This stream does not end.
+
+    Preconditions: a, b odd, squarefree, coprime, both >= 3, and each
+    coefficient a square modulo every prime of the other.
     """
+    if a < 3 or b < 3 or a % 2 == 0 or b % 2 == 0:
+        raise ArgumentError(f"solve_ternary: coefficients ({a}, {b}) must be odd, >= 3")
+    if gcd(a, b) != 1:
+        raise ArgumentError(f"solve_ternary: coefficients ({a}, {b}) share a factor")
+    pa, pb = squarefree_part(a), squarefree_part(b)
+    bad = [(p, q) for p in pa for q in pb
+           if _legendre_unchecked(b, p) != 1 or _legendre_unchecked(a, q) != 1]
+    if bad:
+        raise ConsistencyError(
+            f"solve_ternary: ({a}, {b}) fails local solvability", witnesses=bad)
+    return _ternary_stream(a, b)
+
+
+def solve_ternary(a: int, b: int) -> TernarySolution:
+    """The first element of ternary_solutions(a, b), same preconditions."""
     return next(ternary_solutions(a, b))
 
 
@@ -408,11 +387,6 @@ def fundamental_unit(d: int) -> QuadraticUnit:
     squarefree_part(d)
     if d < 2:
         raise ArgumentError(f"fundamental_unit: {d} < 2")
-    return _fundamental_unit(d)
-
-
-def _fundamental_unit(d: int) -> QuadraticUnit:
-    """fundamental_unit for a caller that guarantees d >= 2 squarefree."""
     g, b, q0 = _pqa_unit(d)
     if q0 == 2 and g % 2 == 0 and b % 2 == 0:
         return QuadraticUnit(d, g // 2, b // 2, False)

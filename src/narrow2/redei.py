@@ -46,9 +46,9 @@ from math import gcd
 from .arith import (
     TernarySolution,
     _legendre_unchecked,
+    _ternary_stream,
     sqrt_mod,
     squarefree_part,
-    ternary_solutions,
 )
 from .errors import AcceptabilityError, ArgumentError, ConsistencyError
 
@@ -146,7 +146,7 @@ class RedeiContext:
 @lru_cache(maxsize=4096)
 def _context_cache(a: int, b: int) -> RedeiContext:
     """The context of the first solution in the stream of (a, b)."""
-    sol = next(ternary_solutions(a, b, checked=False), None)
+    sol = next(_ternary_stream(a, b), None)
     if sol is None:
         raise ConsistencyError(f"the solution stream for ({a}, {b}) is empty")
     return RedeiContext(a, b, sol)
@@ -172,7 +172,7 @@ def context_stream(a: int, b: int, want: int) -> tuple[RedeiContext, ...]:
     """Contexts of the first `want` solutions of (a, b), in stream order
     (fewer only if the grid stream ends first)."""
     _check_pair(a, b)
-    sols = islice(ternary_solutions(a, b, checked=False), want)
+    sols = islice(_ternary_stream(a, b), want)
     return tuple(RedeiContext(a, b, sol) for sol in sols)
 
 

@@ -29,7 +29,6 @@ from narrow2.arith import (
     primes_up_to,
     solve_ternary,
     sqrt_mod,
-    sqrt_two_adic,
     squarefree_part,
     ternary_solutions,
 )
@@ -126,16 +125,6 @@ def test_sqrt_mod_rejects_nonresidue():
         sqrt_mod(3, 5)
     with pytest.raises(ArgumentError):
         sqrt_mod(5, 8)
-
-
-def test_sqrt_two_adic():
-    for a in [17, 41, 73, 89, 105, 113]:
-        for prec in [3, 4, 8, 20]:
-            s = sqrt_two_adic(a, prec)
-            assert (s * s - a) % (1 << prec) == 0
-            assert s % 4 == 1
-    with pytest.raises(ArgumentError):
-        sqrt_two_adic(5, 10)
 
 
 # ---------------------------------------------------------------- factoring
@@ -247,6 +236,21 @@ def test_ternary_grid_stream_stops_at_float_exactness_bound(monkeypatch):
     assert sols[0] == solve_ternary(a, b)
     for s in sols:
         assert s.x * s.x == a * s.y * s.y + b * s.z * s.z < 2**53
+
+
+def test_solve_ternary_refuses_even_coefficients():
+    # 9 = 2 + 7 is solvable, but the domain is odd a, b
+    for a, b in [(2, 7), (7, 2)]:
+        with pytest.raises(ArgumentError, match="odd"):
+            solve_ternary(a, b)
+
+
+def test_ternary_solutions_validates_at_the_call():
+    # no solution is drawn: the public stream checks before it is returned
+    with pytest.raises(ConsistencyError, match="local solvability"):
+        ternary_solutions(13, 19)
+    with pytest.raises(TypeError):
+        ternary_solutions(13, 17, checked=False)
 
 
 def test_ternary_solution_rejects_non_solutions():

@@ -175,19 +175,19 @@ def test_maximal_trusts_parsed_factorizations(monkeypatch):
 def test_maximal_takes_one_solution_per_pair(monkeypatch):
     v = parse_acceptable((65, 1769, 30030601))  # profile (2, 2, 2)
     pairs, advanced = set(), []
-    symbol, stream = maximality._symbol, redei.ternary_solutions
+    symbol, stream = maximality._symbol, redei._ternary_stream
 
     def counted_symbol(a, b, pc):
         pairs.add((a, b))
         return symbol(a, b, pc)
 
-    def counted_stream(a, b, checked=True):
-        for sol in stream(a, b, checked):
+    def counted_stream(a, b):
+        for sol in stream(a, b):
             advanced.append((a, b))
             yield sol
 
     monkeypatch.setattr(maximality, "_symbol", counted_symbol)
-    monkeypatch.setattr(redei, "ternary_solutions", counted_stream)
+    monkeypatch.setattr(redei, "_ternary_stream", counted_stream)
     redei._context_cache.cache_clear()
     assert is_maximal(v).verdict
     assert len(pairs) == 12

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from narrow2.arith import legendre, primes_one_mod_four, sqrt_mod, sqrt_two_adic
+from narrow2.arith import legendre, primes_one_mod_four, sqrt_mod
 from narrow2.errors import (
     AcceptabilityError,
     ArgumentError,
@@ -110,15 +110,46 @@ def test_context_stream_distinct_solutions():
 
 
 def test_totally_real_is_pair_invariant():
-    rng = random.Random(21)
-    pool = [int(p) for p in primes_one_mod_four(3000)]
-    for a, b in _consistent_prime_samples(rng, pool, 2, 12):
-        taus = {c.totally_real for c in context_stream(a, b, 3)}
-        assert len(taus) == 1
+    # the first four contexts of all 914 ordered consistent pairs below 500
+    pairs = [(a, b) for a, b in permutations(primes_one_mod_four(500).tolist(), 2)
+             if legendre(a, b) == 1]
+    assert len(pairs) == 914
+    for a, b in pairs:
+        ctxs = context_stream(a, b, 4)
+        assert len(ctxs) == 4 and len({c.totally_real for c in ctxs}) == 1
 
 
 # Reference 2-adic search for the sign, the implementation that the closed
-# form in RedeiContext.sign replaced; kept verbatim as the test oracle.
+# form in RedeiContext.sign replaced; kept verbatim as the test oracle, with
+# the 2-adic square root it used.
+
+def sqrt_two_adic(a: int, prec: int) -> int:
+    """Square root of a in Z_2 to precision 2**prec, for a = 1 mod 8.
+
+    Bit-by-bit Hensel lift; returns the root congruent to 1 mod 4 (the other
+    root is its negative mod 2**prec).
+    """
+    if a % 8 != 1:
+        raise ArgumentError(f"sqrt_two_adic: {a} is not 1 mod 8")
+    if prec < 3:
+        raise ArgumentError("sqrt_two_adic: need prec >= 3")
+    s = 1
+    for k in range(3, prec):
+        if (s * s - a) % (1 << (k + 1)):
+            s += 1 << (k - 1)
+    s %= 1 << prec
+    return s if s % 4 == 1 else (1 << prec) - s
+
+
+def test_sqrt_two_adic():
+    for a in [17, 41, 73, 89, 105, 113]:
+        for prec in [3, 4, 8, 20]:
+            s = sqrt_two_adic(a, prec)
+            assert (s * s - a) % (1 << prec) == 0
+            assert s % 4 == 1
+    with pytest.raises(ArgumentError):
+        sqrt_two_adic(5, 10)
+
 
 @lru_cache(maxsize=8)
 def _unit_squares_mod4(m4: int) -> frozenset[tuple[int, int]]:
